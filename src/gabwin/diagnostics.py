@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 
 from .lattice import GaborLattice
-from .zak import SpectralSummary, ZakFactorization
+from .zak import SpectralSummary, ZakFactorization, _gram_blocks, factorize
 
 __all__ = [
     "adjoint_correlations",
@@ -30,21 +30,47 @@ __all__ = [
 ]
 
 
+def _gram_correlations(A: np.ndarray, lattice: GaborLattice) -> np.ndarray:
+    """Adjoint correlations from the Gram blocks A = _gram_blocks(F, H).
+
+    One FFT over the d axis of A, a gather into the (b, a) grid at columns
+    r0 + c ((k q) mod p), which cover every residue mod a because
+    gcd(p, q) = 1, and one length-a FFT per row.
+    """
+    lt = lattice
+    Ahat = np.fft.fft(A, axis=1)
+    k = np.arange(lt.p)
+    k_j = k - np.arange(lt.b)[:, None]
+    # gathered[r0, j, k] = Ahat[r0, t mod d, k, (k - j) mod p]
+    gathered = Ahat[:, (k_j // lt.p) % lt.d, k, k_j % lt.p]
+    rows = np.empty((lt.b, lt.a), dtype=complex)
+    rows[:, np.arange(lt.c)[:, None] + lt.c * (k * lt.q % lt.p)] = \
+        np.moveaxis(gathered, 0, 1)
+    return (lt.p / (lt.a * lt.b)) * np.fft.fft(rows, axis=1)
+
+
+def _off_origin_mass(c: np.ndarray) -> float:
+    """Sum of |c[j, l]| over the adjoint lattice without the origin."""
+    c = np.abs(c)
+    return float(c.sum() - c[0, 0])
+
+
 def adjoint_correlations(f: np.ndarray, h: np.ndarray, lattice: GaborLattice) -> np.ndarray:
     """Scaled inner products of f against adjoint-lattice shifts of h.
 
     Returns the (b, a) array  c[j, l] = (L/(a b)) <f, h_{j M, l N}>  with
-    <u, v> = sum u conj(v).  Row j is computed with one length-L FFT.
+    <u, v> = sum u conj(v).  By the Janssen / Wexler-Raz representation
+    these are a twiddled 2-D DFT of the Zak-domain Gram blocks
+    A = block_gram(F, H).blocks:
+
+        c[j, l] = (p/(a b)) sum_{r0<c, k<p} e^{-2 pi i l (r0 + k M)/a}
+                  sum_{s0<d} e^{-2 pi i t s0/d} A[r0, s0, k, (k - j) mod p]
+
+    with t = floor((k - j)/p), computed in O(c d p^2 log d + a b log a).
     """
-    lt = lattice
-    f = np.asarray(f, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    scale = lt.L / (lt.a * lt.b)
-    out = np.empty((lt.b, lt.a), dtype=complex)
-    for j in range(lt.b):
-        t = f * np.conj(np.roll(h, j * lt.M))
-        out[j] = scale * np.fft.fft(t)[:: lt.N]
-    return out
+    A = _gram_blocks(factorize(f, lattice).blocks, factorize(h, lattice).blocks,
+                     lattice)
+    return _gram_correlations(A, lattice)
 
 
 def dual_lattice_norm_tight(gamma: np.ndarray, lattice: GaborLattice) -> float:
@@ -53,8 +79,7 @@ def dual_lattice_norm_tight(gamma: np.ndarray, lattice: GaborLattice) -> float:
     Upper-bounds || S_gamma - (L/ab) ||gamma||^2 I || in operator norm and
     vanishes exactly at canonical tight windows (Wexler-Raz).
     """
-    c = np.abs(adjoint_correlations(gamma, gamma, lattice))
-    return float(c.sum() - c[0, 0])
+    return _off_origin_mass(adjoint_correlations(gamma, gamma, lattice))
 
 
 def dual_lattice_norm_dual(g: np.ndarray, gamma: np.ndarray, lattice: GaborLattice) -> float:
@@ -63,8 +88,7 @@ def dual_lattice_norm_dual(g: np.ndarray, gamma: np.ndarray, lattice: GaborLatti
     Upper-bounds || Z - (L/ab) (g, gamma) I || and vanishes at the
     canonical dual pair.
     """
-    c = np.abs(adjoint_correlations(g, gamma, lattice))
-    return float(c.sum() - c[0, 0])
+    return _off_origin_mass(adjoint_correlations(g, gamma, lattice))
 
 
 def wexler_raz_residual(g: np.ndarray, gamma: np.ndarray, lattice: GaborLattice) -> float:
@@ -85,6 +109,17 @@ def kantorovich_bound_dual(R: float) -> float:
     return (1.0 - R ** 0.5) * np.sqrt(2.0 / (1.0 + R))
 
 
+def _z_spectrum(blocks: np.ndarray) -> SpectralSummary:
+    """Extremal eigenvalue moduli of the Z-operator blocks, with the largest
+    |imag| / |eig| kept in max_imag_ratio instead of warned about."""
+    ev = np.linalg.eigvals(blocks)
+    mod = np.abs(ev)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(mod > 0, np.abs(ev.imag) / np.maximum(mod, 1e-300), 0.0)
+    return SpectralSummary(lower=float(mod.min()), upper=float(mod.max()),
+                           max_imag_ratio=float(ratios.max()))
+
+
 def z_bounds(fac_g: ZakFactorization, fac_gamma: ZakFactorization) -> SpectralSummary:
     """Extremal spectrum of the operator Z = (S S_gamma)^(1/2).
 
@@ -96,23 +131,15 @@ def z_bounds(fac_g: ZakFactorization, fac_gamma: ZakFactorization) -> SpectralSu
     """
     if fac_g.lattice != fac_gamma.lattice:
         raise ValueError("lattice mismatch")
-    lt = fac_g.lattice
-    blocks = lt.c * lt.d * lt.q * np.einsum(
-        "rskl,rsml->rskm", fac_g.blocks, fac_gamma.blocks.conj()
-    )
-    ev = np.linalg.eigvals(blocks)
-    mod = np.abs(ev)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(mod > 0, np.abs(ev.imag) / np.maximum(mod, 1e-300), 0.0)
-    max_ratio = float(ratios.max())
-    if max_ratio > 1e-6:
+    summary = _z_spectrum(_gram_blocks(fac_g.blocks, fac_gamma.blocks, fac_g.lattice))
+    if summary.max_imag_ratio > 1e-6:
         warnings.warn(
-            f"Z-operator blocks have complex spectrum (imag ratio {max_ratio:.2e}); "
+            f"Z-operator blocks have complex spectrum (imag ratio "
+            f"{summary.max_imag_ratio:.2e}); "
             "iterand has left the functional-calculus orbit",
             stacklevel=2,
         )
-    return SpectralSummary(lower=float(mod.min()), upper=float(mod.max()),
-                           max_imag_ratio=max_ratio)
+    return summary
 
 
 def convergence_order(errors, window=(1e-12, 1e-2)):

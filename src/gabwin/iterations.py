@@ -16,7 +16,6 @@ Z^(2r) gamma = (S S_k)^r gamma and Z^(2r+1) gamma = (S S_k)^r S_k g.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,8 +26,10 @@ from .canonical import cholesky_solve_blocks, inv_dual, svd_tight
 from .errors import NotAFrameError
 from .lattice import GaborLattice
 from .zak import (
+    BlockOperator,
     SpectralSummary,
     ZakFactorization,
+    _gram_blocks,
     block_gram,
     factorize,
     frame_bounds,
@@ -223,18 +224,11 @@ def _combine(coeffs, terms, norm_scaled: bool) -> np.ndarray:
     return sum(cf * T for cf, T in zip(coeffs, terms))
 
 
-def _gram(blocks: np.ndarray, lattice: GaborLattice) -> np.ndarray:
-    return lattice.c * lattice.d * lattice.q * np.einsum(
-        "rskl,rsml->rskm", blocks, blocks.conj()
-    )
-
-
 def _apply(op: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return np.einsum("rskm,rsml->rskl", op, blocks)
 
 
-def _tight_step_blocks(blocks, lattice, order, norm_scaled):
-    A = _gram(blocks, lattice)
+def _tight_step_blocks(blocks, A, order, norm_scaled):
     terms = [blocks]
     for _ in range(order - 1):
         terms.append(_apply(A, terms[-1]))
@@ -242,15 +236,14 @@ def _tight_step_blocks(blocks, lattice, order, norm_scaled):
 
 
 def _dual_step_blocks(blocks, g_blocks, Agg, lattice, order, norm_scaled):
-    A = _gram(blocks, lattice)
+    A = _gram_blocks(blocks, blocks, lattice)
     terms = [blocks, _apply(A, g_blocks)]
     while len(terms) < order:
         terms.append(_apply(Agg, _apply(A, terms[-2])))
     return _combine(dual_taylor_coeffs(order), terms[:order], norm_scaled)
 
 
-def _inverse_step_blocks(blocks, lattice):
-    A = _gram(blocks, lattice)
+def _inverse_step_blocks(blocks, A):
     try:
         solved = cholesky_solve_blocks(A, blocks)
     except NotAFrameError as exc:
@@ -261,7 +254,8 @@ def _inverse_step_blocks(blocks, lattice):
 def step_tight(fac: ZakFactorization, order: int = 2, scaling: str = "norm") -> ZakFactorization:
     """One tight-window step gamma -> sum_j a_mj S^j gamma (scaled terms
     under norm scaling, raw polynomial otherwise)."""
-    out = _tight_step_blocks(fac.blocks, fac.lattice, order, scaling == "norm")
+    A = _gram_blocks(fac.blocks, fac.blocks, fac.lattice)
+    out = _tight_step_blocks(fac.blocks, A, order, scaling == "norm")
     return ZakFactorization(fac.lattice, out)
 
 
@@ -271,7 +265,7 @@ def step_dual(fac: ZakFactorization, fac_g: ZakFactorization, order: int = 2,
     window g held fixed across steps."""
     if fac.lattice != fac_g.lattice:
         raise ValueError("lattice mismatch")
-    Agg = _gram(fac_g.blocks, fac_g.lattice)
+    Agg = _gram_blocks(fac_g.blocks, fac_g.blocks, fac_g.lattice)
     out = _dual_step_blocks(fac.blocks, fac_g.blocks, Agg, fac.lattice, order,
                             scaling == "norm")
     return ZakFactorization(fac.lattice, out)
@@ -279,7 +273,8 @@ def step_dual(fac: ZakFactorization, fac_g: ZakFactorization, order: int = 2,
 
 def step_frame_inverse(fac: ZakFactorization) -> ZakFactorization:
     """One algorithm-I step 0.5 gamma/||gamma|| + 0.5 S^-1 gamma/||S^-1 gamma||."""
-    return ZakFactorization(fac.lattice, _inverse_step_blocks(fac.blocks, fac.lattice))
+    A = _gram_blocks(fac.blocks, fac.blocks, fac.lattice)
+    return ZakFactorization(fac.lattice, _inverse_step_blocks(fac.blocks, A))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +367,7 @@ def run(g: np.ndarray, lattice: GaborLattice, config: IterationConfig) -> Iterat
 
     g_blocks = fac0.blocks.copy()
     fac_g = ZakFactorization(lattice, g_blocks)
-    Agg = _gram(g_blocks, lattice)
+    g_norm = _norm(g_blocks)
 
     if config.target == "tight":
         reference = unfactorize(svd_tight(fac_g))
@@ -380,29 +375,32 @@ def run(g: np.ndarray, lattice: GaborLattice, config: IterationConfig) -> Iterat
         reference = unfactorize(inv_dual(fac_g))
 
     trace = IterationTrace(config=config, lattice=lattice, reference=reference)
-    gamma_sig = unfactorize(fac_g)
-    g_normed = _normalized(gamma_sig)
 
     def record(blocks, signal):
-        fac_k = ZakFactorization(lattice, blocks)
+        """Append the diagnostics of iterand `blocks`; returns the Gram they
+        come from: A^{gamma,gamma} (tight) or A^{g,gamma} (dual)."""
         trace.iterands.append(signal)
         trace.errors.append(_norm_error(signal, reference))
         if config.target == "tight":
-            trace.dual_lattice_norms.append(
-                diagnostics.dual_lattice_norm_tight(_normalized(signal), lattice))
-            trace.bounds.append(frame_bounds(block_gram(fac_k, fac_k)))
+            A = _gram_blocks(blocks, blocks, lattice)
+            trace.bounds.append(frame_bounds(BlockOperator(lattice, A)))
+            scale = _norm(blocks) ** 2
         else:
-            trace.dual_lattice_norms.append(
-                diagnostics.dual_lattice_norm_dual(g_normed, _normalized(signal),
-                                                   lattice))
+            A = _gram_blocks(g_blocks, blocks, lattice)
             # post-convergence divergence legitimately leaves the orbit; the
-            # departure is kept in bounds[k].max_imag_ratio instead of warning
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                trace.bounds.append(diagnostics.z_bounds(fac_g, fac_k))
+            # departure is kept in bounds[k].max_imag_ratio, not warned about
+            trace.bounds.append(diagnostics._z_spectrum(A))
+            scale = g_norm * _norm(blocks)
+        # correlations are linear in A, so dividing by the norms gives the
+        # dual lattice norm of the normalized iterand (and normalized g)
+        trace.dual_lattice_norms.append(
+            diagnostics._off_origin_mass(diagnostics._gram_correlations(A, lattice))
+            / scale)
+        return A
 
     blocks = g_blocks
-    record(blocks, gamma_sig)
+    # at gamma_0 = g both targets' Gram is A^{g,g}, which the dual steps reuse
+    A = Agg = record(blocks, unfactorize(fac_g))
     threshold = config.step_threshold
     detector = _DivergenceDetector()
     norm_scaled = config.scaling == "norm"
@@ -412,25 +410,28 @@ def run(g: np.ndarray, lattice: GaborLattice, config: IterationConfig) -> Iterat
             summary = trace.bounds[-1]
             const = optimal_scaling_constant(summary.lower, summary.upper,
                                              config.algorithm_name)
-            blocks = blocks / (np.sqrt(const) if config.target == "tight" else const)
+            if config.target == "tight":
+                blocks, A = blocks / np.sqrt(const), A / const
+            else:
+                blocks = blocks / const
 
         with np.errstate(over="ignore", invalid="ignore"):
             if config.inverse:
-                new = _inverse_step_blocks(blocks, lattice)
+                new = _inverse_step_blocks(blocks, A)
             elif config.target == "tight":
-                new = _tight_step_blocks(blocks, lattice, config.order, norm_scaled)
+                new = _tight_step_blocks(blocks, A, config.order, norm_scaled)
             else:
                 new = _dual_step_blocks(blocks, g_blocks, Agg, lattice,
                                         config.order, norm_scaled)
+            new_norm = _norm(new)
+            if not np.isfinite(new_norm) or new_norm == 0.0:
+                trace.diverging = True
+                break
+            rel = _norm(new - blocks) / new_norm
 
-        new_norm = _norm(new)
-        if not np.isfinite(new_norm) or new_norm == 0.0:
-            trace.diverging = True
-            break
-        rel = _norm(new - blocks) / new_norm
         trace.rel_steps.append(rel)
         blocks = new
-        record(blocks, unfactorize(ZakFactorization(lattice, blocks)))
+        A = record(blocks, unfactorize(ZakFactorization(lattice, blocks)))
 
         if config.stop_mode == "fixed":
             continue

@@ -30,6 +30,19 @@ def literal_frame_operator(g, lattice, f):
     return out
 
 
+def adjoint_correlations_fft(f, h, lattice):
+    """(L/(a b)) <f, h_{j M, l N}> row by row: one length-L FFT of
+    f conj(h(. - j M)) per adjoint time shift j, sampled every N bins."""
+    lt = lattice
+    f = np.asarray(f, dtype=complex)
+    h = np.asarray(h, dtype=complex)
+    out = np.empty((lt.b, lt.a), dtype=complex)
+    for j in range(lt.b):
+        t = f * np.conj(np.roll(h, j * lt.M))
+        out[j] = lt.L / (lt.a * lt.b) * np.fft.fft(t)[:: lt.N]
+    return out
+
+
 def dzt_direct(h, K, r, s):
     """Direct double-sum DZT value at arbitrary integers (r, s)."""
     L = len(h)

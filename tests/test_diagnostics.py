@@ -3,7 +3,28 @@ import pytest
 
 import gabwin as gw
 
-from oracles import dense_operator_norm
+from oracles import adjoint_correlations_fft, dense_operator_norm, shift_mod
+
+
+@pytest.mark.parametrize("L,a,b", [(240, 12, 10), (600, 20, 20), (432, 18, 18)])
+def test_adjoint_correlations_match_literal_sum(rng, L, a, b):
+    # p = 1, 2, 3: every column gather of the Gram-domain kernel is exercised
+    lt = gw.derive_lattice(L, a, b)
+    f = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+    h = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+    literal = np.array([[L / (a * b) * np.vdot(shift_mod(h, j * lt.M, l * lt.N), f)
+                         for l in range(a)] for j in range(b)])
+    c = gw.adjoint_correlations(f, h, lt)
+    assert np.abs(c - literal).max() <= 1e-12 * np.abs(literal).max()
+
+
+def test_adjoint_correlations_match_fft_oracle(rng):
+    lt = gw.derive_lattice(8640, 72, 80)
+    f = rng.standard_normal(lt.L) + 1j * rng.standard_normal(lt.L)
+    h = gw.gaussian_window(lt.L, 0.7).astype(complex)
+    expected = adjoint_correlations_fft(f, h, lt)
+    c = gw.adjoint_correlations(f, h, lt)
+    assert np.abs(c - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_dual_lattice_norm_tight_vanishes_at_tight(lat432, ref_tight432):

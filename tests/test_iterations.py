@@ -1,3 +1,7 @@
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -308,6 +312,62 @@ def test_dual_trace_z_bounds_start_at_frame_bounds(lat432, gauss432):
         "IV", stop_mode="fixed", max_steps=1))
     assert trace.bounds[0].lower == pytest.approx(fb.lower, rel=1e-12)
     assert trace.bounds[0].upper == pytest.approx(fb.upper, rel=1e-12)
+
+
+@pytest.mark.parametrize("name,scaling", [
+    ("I", "norm"), ("II", "norm"), ("III", "norm"), ("IV", "norm"), ("V", "norm"),
+    ("II", "constant_optimal"), ("V", "constant_optimal")])
+def test_recorded_diagnostics_match_signal_level(name, scaling, lat432, gauss432):
+    # run() observes each iterand through the Gram blocks it already holds;
+    # the public signal-level functions must give the same numbers
+    config = IterationConfig.from_algorithm(name, scaling=scaling)
+    trace = gw.run(gauss432, lat432, config)
+    g = trace.iterands[0]
+    fac_g = gw.factorize(g, lat432)
+    for k, gamma in enumerate(trace.iterands):
+        fac = gw.factorize(gamma, lat432)
+        if config.target == "tight":
+            dln = gw.dual_lattice_norm_tight(gamma / np.linalg.norm(gamma), lat432)
+            bounds = gw.frame_bounds(gw.block_gram(fac, fac))
+        else:
+            dln = gw.dual_lattice_norm_dual(g / np.linalg.norm(g),
+                                            gamma / np.linalg.norm(gamma), lat432)
+            bounds = gw.z_bounds(fac_g, fac)
+        assert trace.dual_lattice_norms[k] == pytest.approx(dln, rel=1e-12, abs=1e-13)
+        assert trace.bounds[k].lower == pytest.approx(bounds.lower, rel=1e-12, abs=1e-13)
+        assert trace.bounds[k].upper == pytest.approx(bounds.upper, rel=1e-12, abs=1e-13)
+
+
+@pytest.mark.parametrize("target,order,boundary", [("tight", 3, 7 / 3), ("dual", 3, 2.0)])
+def test_diverging_run_leaks_no_runtime_warning(target, order, boundary, lat432, gauss432):
+    fac = gw.factorize(gauss432, lat432)
+    B = gw.frame_bounds(gw.block_gram(fac, fac)).upper
+    config = IterationConfig(target=target, order=order, scaling="initial",
+                             Bhat=B / (1.05 * boundary), max_steps=80)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        trace = gw.run(gauss432, lat432, config)
+    assert trace.diverging
+
+
+def test_concurrent_dual_runs_leave_warning_filters_unchanged(lat432, gauss432):
+    # the filters are process-wide: a run() that saved and restored them
+    # could leave another thread's temporary filter installed
+    config = IterationConfig.from_algorithm("IV", stop_mode="fixed", max_steps=10)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with warnings.catch_warnings():
+            before = list(warnings.filters)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(gw.run, gauss432, lat432, config)
+                           for _ in range(24)]
+                traces = [f.result(timeout=60) for f in futures]
+            after = list(warnings.filters)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(t.steps_taken == 10 for t in traces)
+    assert after == before
 
 
 def test_monster_run_stops_with_large_dual_lattice_norm(lat600, monster600):
