@@ -33,24 +33,50 @@ def svd_tight(fac: ZakFactorization) -> ZakFactorization:
 
     Singular values are discarded (set to 1), so roundoff on small singular
     values never enters; depends only on the block column spaces.
+
+    When p = 1 each block is a single row phi, whose SVD is
+    (1, ||phi||, phi / ||phi||), so the polar factor U Vh is exactly
+    phi / ||phi||; it is computed in closed form, with the norm taken by
+    hypot so that it neither overflows nor underflows.  For p > 1 the
+    blocks go through LAPACK's SVD.
     """
     lt = fac.lattice
-    U, s, Vh = np.linalg.svd(fac.blocks, full_matrices=False)
+    if lt.p == 1:
+        s = np.hypot.reduce(np.abs(fac.blocks), axis=-1, keepdims=True)
+        _check_singular_values(s)
+        polar = fac.blocks / s
+    else:
+        U, s, Vh = np.linalg.svd(fac.blocks, full_matrices=False)
+        _check_singular_values(s)
+        polar = np.einsum("rsij,rsjl->rsil", U, Vh)
+    return ZakFactorization(lt, polar / np.sqrt(lt.c * lt.d * lt.q))
+
+
+def _check_singular_values(s: np.ndarray) -> None:
     if s.min() <= _RANK_TOL * s.max():
         raise NotAFrameError("not a frame: rank-deficient factorization block")
-    out = np.einsum("rsij,rsjl->rsil", U, Vh) / np.sqrt(lt.c * lt.d * lt.q)
-    return ZakFactorization(lt, out)
 
 
 def cholesky_solve_blocks(op_blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve A X = B per block for Hermitian positive definite A
-    (Cholesky factorization followed by two substitutions)."""
+    (Cholesky factorization A = L L* followed by two substitutions).
+
+    Each substitution step finishes one row of X and updates the rows
+    after it, in every block at once, so the p forward and p backward
+    steps make no per-block LAPACK call.
+    """
     try:
         low = np.linalg.cholesky(hermitian_part(op_blocks))
     except np.linalg.LinAlgError as exc:
         raise NotAFrameError(f"not a frame: {exc}") from exc
-    y = np.linalg.solve(low, rhs)
-    return np.linalg.solve(np.conj(np.swapaxes(low, -2, -1)), y)
+    x = np.array(rhs, dtype=np.result_type(low, rhs))
+    for j in range(low.shape[-1]):  # L Y = B
+        x[..., j, :] /= low[..., j, j, None]
+        x[..., j + 1:, :] -= low[..., j + 1:, j, None] * x[..., j, None, :]
+    for j in reversed(range(low.shape[-1])):  # L* X = Y
+        x[..., j, :] /= low[..., j, j, None].conj()
+        x[..., :j, :] -= low[..., j, :j, None].conj() * x[..., j, None, :]
+    return x
 
 
 def inv_dual(fac: ZakFactorization) -> ZakFactorization:

@@ -207,8 +207,6 @@ def exp_convergence(args, lattice, g):
 
 
 def exp_scaling_compare(args, lattice, g):
-    fac = factorize(g, lattice)
-    summary = frame_bounds(block_gram(fac, fac))
     strategies = [
         ("norm", {}),
         ("initial", {"Bhat": upper_frame_bound_estimate(g, lattice)}),

@@ -133,7 +133,13 @@ def upper_frame_bound_estimate(g: np.ndarray, lattice: GaborLattice) -> float:
     """Guaranteed upper bound on max spectrum of S from the dual lattice
     representation: the total adjoint-correlation mass of g.  Equals 1
     exactly when g is a canonical tight window."""
-    return float(np.abs(diagnostics.adjoint_correlations(g, g, lattice)).sum())
+    fac = factorize(g, lattice)
+    return _upper_frame_bound(_gram_blocks(fac.blocks, fac.blocks, lattice), lattice)
+
+
+def _upper_frame_bound(A: np.ndarray, lattice: GaborLattice) -> float:
+    """upper_frame_bound_estimate from the Gram blocks A^{g,g}."""
+    return float(np.abs(diagnostics._gram_correlations(A, lattice)).sum())
 
 
 def initial_scale(fac: ZakFactorization, Bhat: float) -> ZakFactorization:
@@ -354,8 +360,8 @@ def run(g: np.ndarray, lattice: GaborLattice, config: IterationConfig) -> Iterat
     fac0 = factorize(g, lattice)
 
     if config.scaling == "initial":
-        Bhat = config.Bhat if config.Bhat is not None else \
-            upper_frame_bound_estimate(g, lattice)
+        Bhat = config.Bhat if config.Bhat is not None else _upper_frame_bound(
+            _gram_blocks(fac0.blocks, fac0.blocks, lattice), lattice)
         fac0 = initial_scale(fac0, Bhat)
     elif config.scaling == "initial_optimal":
         summary = frame_bounds(block_gram(fac0, fac0))

@@ -305,6 +305,32 @@ def test_initial_scaling_bhat_covariance(lat432, gauss432):
     assert np.linalg.norm(fa - fb) < 1e-11
 
 
+def test_initial_scaling_estimates_bhat_without_refactorizing(
+        monkeypatch, lat432, gauss432):
+    # run() already holds the factorization of g: the default Bhat must come
+    # from its Gram blocks and equal upper_frame_bound_estimate bit for bit
+    Bhat = gw.upper_frame_bound_estimate(gauss432, lat432)
+    expected = gw.run(gauss432, lat432, IterationConfig.from_algorithm(
+        "II", scaling="initial", Bhat=Bhat))
+
+    def no_factorize(*args, **kwargs):
+        raise AssertionError("diagnostics.factorize called")
+
+    calls = []
+
+    def counted_factorize(f, lattice):
+        calls.append(lattice)
+        return gw.factorize(f, lattice)
+
+    monkeypatch.setattr("gabwin.diagnostics.factorize", no_factorize)
+    monkeypatch.setattr("gabwin.iterations.factorize", counted_factorize)
+    trace = gw.run(gauss432, lat432, IterationConfig.from_algorithm(
+        "II", scaling="initial"))
+    assert len(calls) == 1
+    assert trace.errors == expected.errors
+    assert np.array_equal(trace.final, expected.final)
+
+
 def test_dual_trace_z_bounds_start_at_frame_bounds(lat432, gauss432):
     fac = gw.factorize(gauss432, lat432)
     fb = gw.frame_bounds(gw.block_gram(fac, fac))
