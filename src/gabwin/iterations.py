@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,6 +79,7 @@ def _expand_one_minus_x_powers(weights) -> list[Fraction]:
     return coeffs
 
 
+@lru_cache(maxsize=16)
 def tight_taylor_coeffs_fractions(m: int) -> tuple[Fraction, ...]:
     """Exact coefficients of the order-(m-1) Taylor polynomial of x^(-1/2)
     around 1, written in powers of x."""
@@ -92,6 +94,7 @@ def tight_taylor_coeffs_fractions(m: int) -> tuple[Fraction, ...]:
     return tuple(_expand_one_minus_x_powers(weights))
 
 
+@lru_cache(maxsize=16)
 def dual_taylor_coeffs_fractions(m: int) -> tuple[Fraction, ...]:
     """Exact coefficients of the order-(m-1) Taylor polynomial of x^(-1)
     around 1 (geometric partial sum), in powers of x."""

@@ -1,16 +1,21 @@
 """Finite discrete Zak transform and the block factorization of C^L.
 
-The factorization maps a signal to a c x d grid of p x q complex matrices.
-It is unitary (block Frobenius norm equals the signal 2-norm), and the
-frame operator of (g, a, b) acts on it blockwise: with A = block_gram(G, G),
-factorize(S f) = A @ factorize(f) block by block.  Eigenvalues of the A
-blocks are exactly the frame-operator spectrum, which makes frame bounds a
-batch of p x p Hermitian eigensolves.
+The factorization maps a signal to a c x d grid of p x q complex matrices of
+Zak samples Z_a f(r + k M, s + l d), k < p, l < q.  It is unitary (block
+Frobenius norm equals the signal 2-norm), and the frame operator of (g, a, b)
+acts on it blockwise: with A = block_gram(G, G), factorize(S f) = A @
+factorize(f) block by block, so frame bounds are a batch of p x p Hermitian
+eigensolves.  As a = p c and M = q c, (r + k M) // a = floor(k q / p) and
+(r + k M) % a = r + c m[k] with m = q arange(p) % p for every r < c: the
+blocks are the (a, N) Zak grid viewed as (p, c, q, d), times a (p, 1, q, d)
+twiddle shared by the c rows of a row block, with its p row blocks permuted
+by m and transposed.  No call builds an L-sized index or twiddle array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,8 +46,13 @@ def dzt(h: np.ndarray, K: int) -> np.ndarray:
     if K <= 0 or L % K != 0:
         raise ValueError(f"K={K} must divide the signal length L={L}")
     J = L // K
-    idx = (np.arange(K)[:, None] - np.arange(J)[None, :] * K) % L
-    return np.sqrt(K / L) * J * np.fft.ifft(np.asarray(h)[idx], axis=1)
+    # h(r - l K) is row -l mod J of h viewed as (J, K): row 0, then J-1 .. 1
+    rows = np.asarray(h).reshape(J, K)
+    x = np.empty((K, J), dtype=complex)
+    x[:, 0] = rows[0]
+    x[:, 1:] = rows[:0:-1].T
+    np.fft.ifft(x, axis=1, out=x)
+    return np.multiply(np.sqrt(K / L) * J, x, out=x)
 
 
 def zak_extend(grid: np.ndarray, r, s) -> np.ndarray:
@@ -120,44 +130,61 @@ class SpectralSummary:
         return self.lower > 0.0
 
 
-def _block_indices(lattice: GaborLattice):
+@lru_cache(maxsize=16)
+def _plan(lattice: GaborLattice) -> tuple[np.ndarray, ...]:
+    """Read-only per-lattice constants: the row-block permutation m, its
+    inverse, and the forward and inverse twiddles exp(+-2 pi i w (l d + s) / N)
+    on the grid viewed as (p, c, q, d), where row block m[k] wraps floor(kq/p)."""
     lt = lattice
-    r = np.arange(lt.c)[:, None, None, None]
-    s = np.arange(lt.d)[None, :, None, None]
-    k = np.arange(lt.p)[None, None, :, None]
-    l = np.arange(lt.q)[None, None, None, :]
-    rr = r + k * lt.M
-    ss = s + l * lt.d
-    return rr, ss
+    m = np.arange(lt.p) * lt.q % lt.p
+    inv = np.argsort(m)
+    wraps = (inv * lt.q // lt.p)[:, None, None, None]
+    ss = np.arange(lt.N).reshape(lt.q, lt.d)
+    plan = (m, inv, *(np.exp(sign * 2j * np.pi * wraps * ss / lt.N)
+                      for sign in (1, -1)))
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
 
 
 def factorize(f: np.ndarray, lattice: GaborLattice) -> ZakFactorization:
     """Assemble the unitary block factorization of a length-L signal.
 
     Blocks are dzt(f, a) samples at (r + k M, s + l d) with the
-    quasi-periodic extension applied in the first index.
+    quasi-periodic extension applied in the first index.  A non-finite
+    sample raises ValueError.
     """
+    lt = lattice
     f = np.asarray(f, dtype=complex)
-    if len(f) != lattice.L:
-        raise ValueError(f"signal length {len(f)} != L = {lattice.L}")
-    grid = dzt(f, lattice.a)
-    rr, ss = _block_indices(lattice)
-    return ZakFactorization(lattice, zak_extend(grid, rr, ss))
+    if len(f) != lt.L:
+        raise ValueError(f"signal length {len(f)} != L = {lt.L}")
+    if not np.isfinite(f).all():
+        i = int(np.argmin(np.isfinite(f)))
+        raise ValueError(f"signal sample f[{i}] = {f[i]} is not finite")
+    _, inv, tw, _ = _plan(lt)
+    grid = dzt(f, lt.a).reshape(lt.p, lt.c, lt.q, lt.d)
+    np.multiply(tw, grid, out=grid)
+    blocks = np.empty((lt.c, lt.d, lt.p, lt.q), dtype=complex)
+    blocks.transpose(2, 0, 3, 1)[inv] = grid
+    return ZakFactorization(lt, blocks)
 
 
 def unfactorize(fac: ZakFactorization) -> np.ndarray:
     """Invert factorize (exact up to rounding)."""
     lt = fac.lattice
-    rr, ss = _block_indices(lt)
-    wraps = rr // lt.a
-    grid = np.zeros((lt.a, lt.N), dtype=complex)
-    grid[rr % lt.a, ss % lt.N] = np.exp(-2j * np.pi * wraps * ss / lt.N) * fac.blocks
     J = lt.N
-    x = np.fft.fft(grid, axis=1) / (np.sqrt(lt.a / lt.L) * J)
-    f = np.empty(lt.L, dtype=complex)
-    idx = (np.arange(lt.a)[:, None] - np.arange(J)[None, :] * lt.a) % lt.L
-    f[idx] = x
-    return f
+    m, _, _, tw = _plan(lt)
+    grid = np.empty((lt.p, lt.c, lt.q, lt.d), dtype=complex)
+    grid[m] = fac.blocks.transpose(2, 0, 3, 1)
+    np.multiply(tw, grid, out=grid)
+    x = grid.reshape(lt.a, J)
+    np.fft.fft(x, axis=1, out=x)
+    np.divide(x, np.sqrt(lt.a / lt.L) * J, out=x)
+    # undo the dzt gather: column l of x is row -l mod J of f viewed as (J, a)
+    f = np.empty((J, lt.a), dtype=complex)
+    f[0] = x[:, 0]
+    f[1:] = x[:, :0:-1].T
+    return f.reshape(lt.L)
 
 
 def _gram_blocks(X: np.ndarray, Y: np.ndarray, lattice: GaborLattice) -> np.ndarray:

@@ -10,6 +10,8 @@ from math import comb
 
 import numpy as np
 
+from gabwin import zak_extend
+
 
 def shift_mod(g, j, k):
     """Literal time-frequency shift from the definition."""
@@ -51,6 +53,48 @@ def dzt_direct(h, K, r, s):
     for l in range(J):
         acc += h[(r - l * K) % L] * np.exp(2j * np.pi * s * l * K / L)
     return np.sqrt(K / L) * acc
+
+
+def dzt_indexed(h, K):
+    """DZT through an L-sized index map: row r gathers h(r - l K), l < L/K."""
+    L = len(h)
+    J = L // K
+    idx = (np.arange(K)[:, None] - np.arange(J)[None, :] * K) % L
+    return np.sqrt(K / L) * J * np.fft.ifft(np.asarray(h)[idx], axis=1)
+
+
+def block_indices(lattice):
+    """Zak-grid coordinates (r + k M, s + l d) of every block entry."""
+    lt = lattice
+    r = np.arange(lt.c)[:, None, None, None]
+    s = np.arange(lt.d)[None, :, None, None]
+    k = np.arange(lt.p)[None, None, :, None]
+    l = np.arange(lt.q)[None, None, None, :]
+    return r + k * lt.M, s + l * lt.d
+
+
+def factorize_indexed(f, lattice):
+    """(c, d, p, q) blocks: dzt samples at block_indices, extended
+    quasi-periodically in the first index."""
+    grid = dzt_indexed(np.asarray(f, dtype=complex), lattice.a)
+    rr, ss = block_indices(lattice)
+    return zak_extend(grid, rr, ss)
+
+
+def unfactorize_indexed(blocks, lattice):
+    """Inverse of factorize_indexed: untwiddled scatter onto the Zak grid,
+    forward FFTs, and a scatter through the DZT index map."""
+    lt = lattice
+    rr, ss = block_indices(lt)
+    wraps = rr // lt.a
+    grid = np.zeros((lt.a, lt.N), dtype=complex)
+    grid[rr % lt.a, ss % lt.N] = np.exp(-2j * np.pi * wraps * ss / lt.N) * blocks
+    J = lt.N
+    x = np.fft.fft(grid, axis=1) / (np.sqrt(lt.a / lt.L) * J)
+    f = np.empty(lt.L, dtype=complex)
+    idx = (np.arange(lt.a)[:, None] - np.arange(J)[None, :] * lt.a) % lt.L
+    f[idx] = x
+    return f
 
 
 def dense_operator_norm(mat):

@@ -192,3 +192,15 @@ def test_experiment_fibonacci(tmp_path):
     assert len(rows) == 4
     assert len({r[7] for r in rows}) == 1  # steps_I identical
     assert len({r[8] for r in rows}) == 1  # steps_II identical
+
+
+def test_non_finite_window_file_exit_code(tmp_path, capsys):
+    win = gw.sech_window(432).astype("<c8")
+    win[7] = np.nan
+    path = tmp_path / "nan.bin"
+    win.tofile(path)
+    code = run_cli("canonical", "--window", f"file:{path}",
+                   "--method", "svd", "--out", tmp_path / "x")
+    assert code == 1
+    assert "f[7]" in capsys.readouterr().err
+    assert not (tmp_path / "x.window").exists()

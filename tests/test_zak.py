@@ -1,9 +1,15 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 import gabwin as gw
+from gabwin.zak import _plan
 
-from oracles import dzt_direct, literal_frame_operator
+from oracles import (dzt_direct, dzt_indexed, factorize_indexed,
+                     literal_frame_operator, random_valid_lattice,
+                     unfactorize_indexed)
 
 
 def test_dzt_impulse():
@@ -193,3 +199,78 @@ def test_blocks_immutable(lat432, gauss432):
     fac = gw.factorize(gauss432, lat432)
     with pytest.raises(ValueError):
         fac.blocks[0, 0, 0, 0] = 0.0
+
+
+def _rel_max(x, ref):
+    return float(np.abs(x - ref).max() / np.abs(ref).max())
+
+
+def test_factorize_matches_index_map_oracle(rng):
+    # same arithmetic as the index-map construction, so the same bits
+    for (L, a, b) in [(240, 12, 10), (432, 18, 18), (540, 18, 18),
+                      (600, 20, 20), (8640, 72, 80)]:
+        lt = gw.derive_lattice(L, a, b)
+        for f in (gw.gaussian_window(L).astype(complex),
+                  rng.standard_normal(L) + 1j * rng.standard_normal(L)):
+            blocks = factorize_indexed(f, lt)
+            assert np.array_equal(gw.factorize(f, lt).blocks, blocks), (L, a, b)
+            assert np.array_equal(gw.unfactorize(gw.ZakFactorization(lt, blocks)),
+                                  unfactorize_indexed(blocks, lt)), (L, a, b)
+            assert np.array_equal(gw.dzt(f, a), dzt_indexed(f, a)), (L, a, b)
+
+
+def test_factorize_matches_index_map_oracle_random_lattices(rng):
+    lattices = [(61440, 240, 192)]
+    sampler = np.random.default_rng(6)
+    while len(lattices) < 51:
+        L, a, b = random_valid_lattice(sampler, max_factor=6)
+        if L <= 2000:
+            lattices.append((L, a, b))
+    assert max(gw.derive_lattice(*lab).p for lab in lattices) == 5
+    for (L, a, b) in lattices:
+        lt = gw.derive_lattice(L, a, b)
+        f = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+        blocks = factorize_indexed(f, lt)
+        assert _rel_max(gw.factorize(f, lt).blocks, blocks) <= 1e-15, (L, a, b)
+        back = gw.unfactorize(gw.ZakFactorization(lt, blocks))
+        assert _rel_max(back, unfactorize_indexed(blocks, lt)) <= 1e-15, (L, a, b)
+
+
+def test_plan_cache_is_read_only_and_thread_safe(rng):
+    lattices = [gw.derive_lattice(*lab) for lab in
+                [(432, 18, 18), (600, 20, 20), (8640, 72, 80)]]
+    signals = {lt: [rng.standard_normal(lt.L) + 1j * rng.standard_normal(lt.L)
+                    for _ in range(4)] for lt in lattices}
+
+    def roundtrip(lt, f):
+        fac = gw.factorize(f, lt)
+        return fac.blocks, gw.unfactorize(fac)
+
+    serial = {(lt, i): roundtrip(lt, f) for lt in lattices
+              for i, f in enumerate(signals[lt])}
+    for lt in lattices:
+        for arr in _plan(lt):
+            with pytest.raises(ValueError):
+                arr[...] = 0
+    _plan.cache_clear()  # the pool races to build the cached plans
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            jobs = {pool.submit(roundtrip, lt, signals[lt][i]): (lt, i)
+                    for _ in range(4) for (lt, i) in serial}
+            results = [(jobs[job], job.result(timeout=60)) for job in jobs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 4 * len(serial)
+    for key, (blocks, back) in results:
+        assert np.array_equal(blocks, serial[key][0])
+        assert np.array_equal(back, serial[key][1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_factorize_rejects_non_finite_samples(lat432, gauss432, bad):
+    f = gauss432.copy()
+    f[[7, 300]] = bad
+    with pytest.raises(ValueError, match=r"f\[7\]"):
+        gw.factorize(f, lat432)
