@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotAFrameError
-from .zak import BlockOperator, ZakFactorization, block_gram, hermitian_part
+from .zak import ZakFactorization, _hermitian_eigvals, block_gram, hermitian_part
 
 __all__ = ["eig_tight", "svd_tight", "inv_dual", "cholesky_solve_blocks"]
 
@@ -21,11 +21,19 @@ def eig_tight(fac: ZakFactorization) -> ZakFactorization:
     this method lose accuracy as B/A grows.
     """
     A = block_gram(fac, fac).blocks
+    if fac.lattice.p == 1:  # U = 1 and the block is its own eigenvalue
+        ev = _hermitian_eigvals(A)
+        _check_eigenvalues(ev)
+        return ZakFactorization(fac.lattice, fac.blocks / np.sqrt(ev)[..., None])
     ev, U = np.linalg.eigh(hermitian_part(A))
-    if ev.min() <= _RANK_TOL * ev.max():
-        raise NotAFrameError("not a frame: nonpositive frame-operator eigenvalue")
+    _check_eigenvalues(ev)
     out = np.einsum("rsij,rsj,rskj,rskl->rsil", U, ev ** -0.5, U.conj(), fac.blocks)
     return ZakFactorization(fac.lattice, out)
+
+
+def _check_eigenvalues(ev: np.ndarray) -> None:
+    if ev.min() <= _RANK_TOL * ev.max():
+        raise NotAFrameError("not a frame: frame operator numerically singular")
 
 
 def svd_tight(fac: ZakFactorization) -> ZakFactorization:
@@ -65,10 +73,17 @@ def cholesky_solve_blocks(op_blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     after it, in every block at once, so the p forward and p backward
     steps make no per-block LAPACK call.
     """
-    try:
-        low = np.linalg.cholesky(hermitian_part(op_blocks))
-    except np.linalg.LinAlgError as exc:
-        raise NotAFrameError(f"not a frame: {exc}") from exc
+    if op_blocks.shape[-1] == 1:  # the 1 x 1 factor is sqrt(Re a), 0 if Re a <= 0
+        low = np.sqrt(np.maximum(op_blocks.real, 0.0))
+    else:
+        try:
+            low = np.linalg.cholesky(hermitian_part(op_blocks))
+        except np.linalg.LinAlgError as exc:
+            raise NotAFrameError(f"not a frame: {exc}") from exc
+    # potrf fails on a pivot that is not positive or is NaN; OpenBLAS passes
+    # a NaN through, and a NaN anywhere in a block reaches a later pivot
+    if not (np.diagonal(low, axis1=-2, axis2=-1).real > 0).all():
+        raise NotAFrameError("not a frame: Matrix is not positive definite")
     x = np.array(rhs, dtype=np.result_type(low, rhs))
     for j in range(low.shape[-1]):  # L Y = B
         x[..., j, :] /= low[..., j, j, None]
@@ -82,7 +97,5 @@ def cholesky_solve_blocks(op_blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def inv_dual(fac: ZakFactorization) -> ZakFactorization:
     """Canonical dual window: per-block Hermitian solve A X = Phi."""
     A = block_gram(fac, fac)
-    ev = np.linalg.eigvalsh(hermitian_part(A.blocks))
-    if ev.min() <= _RANK_TOL * ev.max():
-        raise NotAFrameError("not a frame: frame operator numerically singular")
+    _check_eigenvalues(_hermitian_eigvals(A.blocks))
     return ZakFactorization(fac.lattice, cholesky_solve_blocks(A.blocks, fac.blocks))

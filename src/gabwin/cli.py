@@ -31,7 +31,8 @@ from .iterations import (
 from .lattice import GaborLattice, derive_lattice
 from .scalarlab import two_point_norm_scaled
 from .windows import gaussian_window, monster_window, sech_window
-from .zak import block_gram, factorize, frame_bounds, unfactorize
+from .zak import (SpectralSummary, ZakFactorization, block_gram, factorize,
+                  frame_bounds, unfactorize)
 
 EXIT_NOT_A_FRAME = 2
 EXIT_DIVERGED = 3
@@ -90,6 +91,11 @@ def save_window(path: str, values: np.ndarray) -> None:
     np.asarray(values, dtype=complex).astype("<c8").tofile(path)
 
 
+def _frame_bounds(fac: ZakFactorization) -> SpectralSummary:
+    """Best frame bounds of the window whose factorization is fac."""
+    return frame_bounds(block_gram(fac, fac))
+
+
 def _steps_to_converge(trace) -> int | None:
     return trace.steps_taken if trace.converged else None
 
@@ -108,7 +114,7 @@ def cmd_canonical(args: argparse.Namespace) -> int:
     lattice = derive_lattice(args.L, args.a, args.b)
     g = make_window(args.window, lattice).astype(complex)
     fac = factorize(g, lattice)
-    summary = frame_bounds(block_gram(fac, fac))
+    summary = _frame_bounds(fac)
     if not summary.is_frame:
         raise NotAFrameError("input system is not a frame")
 
@@ -169,8 +175,7 @@ def cmd_canonical(args: argparse.Namespace) -> int:
     else:
         dln = diagnostics.dual_lattice_norm_dual(g / np.linalg.norm(g), gn, lattice)
         wr = diagnostics.wexler_raz_residual(g, canonical_gamma, lattice)
-    out_fac = factorize(gamma, lattice)
-    out_summary = frame_bounds(block_gram(out_fac, out_fac))
+    out_summary = _frame_bounds(factorize(gamma, lattice))
     report["result"] = {
         "dual_lattice_norm": dln,
         "wexler_raz_residual": wr,
@@ -246,7 +251,7 @@ def _precision_item(spec):
     lattice, w = spec
     g = gaussian_window(lattice.L, w).astype(complex)
     fac = factorize(g, lattice)
-    summary = frame_bounds(block_gram(fac, fac))
+    summary = _frame_bounds(fac)
     ge = unfactorize(eig_tight(fac))
     gs = unfactorize(svd_tight(fac))
     trace = run(g, lattice, IterationConfig.from_algorithm("II", max_steps=40))
@@ -267,8 +272,7 @@ def _numits_item(spec):
     lattice, w = spec
     g = gaussian_window(lattice.L, w).astype(complex)
     Bhat = upper_frame_bound_estimate(g, lattice)
-    fac = factorize(g, lattice)
-    ratio = frame_bounds(block_gram(fac, fac)).ratio
+    ratio = _frame_bounds(factorize(g, lattice)).ratio
     row = [w, ratio]
     for name in _ALGOS:
         kwargs = {} if name == "I" else {"scaling": "initial", "Bhat": Bhat}
@@ -304,8 +308,7 @@ def _scaling_sweep_item(spec):
 
 
 def exp_scaling_sweep(args, lattice, g):
-    fac = factorize(g, lattice)
-    summary = frame_bounds(block_gram(fac, fac))
+    summary = _frame_bounds(factorize(g, lattice))
     upper = 5.3 if args.target == "tight" else 2.9
     grid = np.round(np.arange(0.1, upper + 1e-9, 0.2), 10)
     specs = [(lattice, g, summary.upper, args.target, b) for b in grid]
@@ -324,8 +327,7 @@ def tune_width_to_ratio(lattice: GaborLattice, target_ratio: float,
     """Bisect the Gaussian width until the frame bound ratio matches."""
     def ratio(w):
         g = gaussian_window(lattice.L, w).astype(complex)
-        fac = factorize(g, lattice)
-        return frame_bounds(block_gram(fac, fac)).ratio
+        return _frame_bounds(factorize(g, lattice)).ratio
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if ratio(mid) < target_ratio:
@@ -341,8 +343,7 @@ def _fibonacci_item(spec):
     assert (lattice.p, lattice.q) == (pp, qq)
     w = tune_width_to_ratio(lattice, target_ratio)
     g = gaussian_window(L, w).astype(complex)
-    fac = factorize(g, lattice)
-    ratio = frame_bounds(block_gram(fac, fac)).ratio
+    ratio = _frame_bounds(factorize(g, lattice)).ratio
     row = [pp, qq, L, a, b, w, ratio]
     for name in ("I", "II", "IV"):
         trace = run(g, lattice, IterationConfig.from_algorithm(name, max_steps=60))

@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 
 from .lattice import GaborLattice
-from .zak import SpectralSummary, ZakFactorization, _gram_blocks, factorize
+from .zak import SpectralSummary, ZakFactorization, _eigvals, _gram_blocks, factorize
 
 __all__ = [
     "adjoint_correlations",
@@ -111,8 +111,14 @@ def kantorovich_bound_dual(R: float) -> float:
 
 def _z_spectrum(blocks: np.ndarray) -> SpectralSummary:
     """Extremal eigenvalue moduli of the Z-operator blocks, with the largest
-    |imag| / |eig| kept in max_imag_ratio instead of warned about."""
-    ev = np.linalg.eigvals(blocks)
+    |imag| / |eig| kept in max_imag_ratio instead of warned about.
+
+    The blocks are not Hermitian.  At p <= 2 their eigenvalues are taken in
+    closed form (the block itself at p = 1; at p = 2 the trace/determinant
+    root of larger modulus and det over it, on the block scaled by a power
+    of two), at p >= 3 from LAPACK.
+    """
+    ev = _eigvals(blocks)
     mod = np.abs(ev)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(mod > 0, np.abs(ev.imag) / np.maximum(mod, 1e-300), 0.0)

@@ -5,7 +5,14 @@ Zak samples Z_a f(r + k M, s + l d), k < p, l < q.  It is unitary (block
 Frobenius norm equals the signal 2-norm), and the frame operator of (g, a, b)
 acts on it blockwise: with A = block_gram(G, G), factorize(S f) = A @
 factorize(f) block by block, so frame bounds are a batch of p x p Hermitian
-eigensolves.  As a = p c and M = q c, (r + k M) // a = floor(k q / p) and
+eigensolves.  At p <= 2 those are closed forms over the whole batch, with no
+per-block LAPACK call: a 1 x 1 block is its own eigenvalue, and a 2 x 2 block
+[[a, b], [c, d]], first scaled by a power of two (exact) so that products
+of its entries neither overflow nor underflow, has the Hermitian-part
+eigenvalues m -+ hypot((a - d)/2, |(b + conj c)/2|), m = (a + d)/2, and the
+general eigenvalues m +- sqrt(((a - d)/2)^2 + b c), the root of larger
+modulus taken first and the other as det over it.  At p >= 3 LAPACK runs.
+As a = p c and M = q c, (r + k M) // a = floor(k q / p) and
 (r + k M) % a = r + c m[k] with m = q arange(p) % p for every r < c: the
 blocks are the (a, N) Zak grid viewed as (p, c, q, d), times a (p, 1, q, d)
 twiddle shared by the c rows of a row block, with its p row blocks permuted
@@ -220,11 +227,68 @@ def hermitian_part(blocks: np.ndarray) -> np.ndarray:
     return 0.5 * (blocks + np.conj(np.swapaxes(blocks, -2, -1)))
 
 
+def _scaled_2x2(blocks: np.ndarray):
+    """Entries a, b, c, d of 2 x 2 blocks [[a, b], [c, d]], each block divided
+    by the power of two 2^e that takes its largest real or imaginary part
+    into [1/2, 1), and e.  The scaling is exact, and products of scaled
+    entries neither overflow nor lose digits to underflow."""
+    parts = np.ascontiguousarray(blocks, dtype=complex).view(float)
+    # the 8 parts as rows, halved pairwise: a reduction along a short
+    # trailing axis costs about 0.1 us a block
+    big = np.abs(parts.reshape(-1, 8).T, order="C")
+    for half in (4, 2, 1):
+        big = np.maximum(big[:half], big[half:])
+    _, e = np.frexp(big[0].reshape(parts.shape[:-2]))
+    x = np.ldexp(parts, -e[..., None, None]).view(complex)
+    return x[..., 0, 0], x[..., 0, 1], x[..., 1, 0], x[..., 1, 1], e
+
+
+def _hermitian_eigvals(blocks: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (..., p) of the Hermitian parts of (..., p, p)
+    blocks.  p = 1: the real part; p = 2: m -+ hypot((a - d)/2, |b|) with
+    m = (a + d)/2 and b the off-diagonal of the Hermitian part, on the
+    scaled block; p >= 3: LAPACK."""
+    p = blocks.shape[-1]
+    if p == 1:
+        return blocks.real[..., 0]
+    if p > 2:
+        return np.linalg.eigvalsh(hermitian_part(blocks))
+    a, b, c, d, e = _scaled_2x2(blocks)
+    m = 0.5 * (a.real + d.real)
+    r = np.hypot(0.5 * (a.real - d.real), np.abs(0.5 * (b + c.conj())))
+    return np.ldexp(np.stack((m - r, m + r), axis=-1), e[..., None])
+
+
+def _eigvals(blocks: np.ndarray) -> np.ndarray:
+    """Eigenvalues (..., p) of general (..., p, p) blocks.  p = 1: the block;
+    p = 2: the root m +- sqrt(((a - d)/2)^2 + b c) of larger modulus, then
+    det / that root, so neither cancels, on the scaled block; p >= 3:
+    LAPACK."""
+    p = blocks.shape[-1]
+    if p == 1:
+        return blocks[..., 0]
+    if p > 2:
+        return np.linalg.eigvals(blocks)
+    a, b, c, d, e = _scaled_2x2(blocks)
+    m = 0.5 * (a + d)
+    h = 0.5 * (a - d)
+    s = np.sqrt(h * h + b * c)
+    s = np.where(m.real * s.real + m.imag * s.imag < 0, -s, s)
+    big = m + s
+    # big = 0 only when m = s = 0, and then both eigenvalues are 0
+    small = np.divide(a * d - b * c, big, out=np.zeros_like(big), where=big != 0)
+    ev = np.stack((big, small), axis=-1)
+    return np.ldexp(ev.view(float), e[..., None]).view(complex)
+
+
 def frame_bounds(op: BlockOperator) -> SpectralSummary:
     """Best frame bounds (A, B) from the block eigenvalues.
 
-    Blocks are symmetrized before the eigensolve; a nonpositive lower bound
-    is reported through SpectralSummary.is_frame rather than raised.
+    The eigenvalues are those of the Hermitian parts of the blocks: in closed
+    form at p <= 2 (the block itself at p = 1, m -+ hypot((a - d)/2, |b|) on
+    the block scaled by a power of two at p = 2), from LAPACK at p >= 3.  A
+    nonpositive lower bound is reported through SpectralSummary.is_frame
+    rather than raised.
     """
-    ev = np.linalg.eigvalsh(hermitian_part(op.blocks))
+    ev = _hermitian_eigvals(op.blocks)
     return SpectralSummary(lower=float(ev.min()), upper=float(ev.max()))

@@ -5,6 +5,7 @@ direct transforms, exact rational expansions) without going through the
 library's fast paths.
 """
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb
 
@@ -95,6 +96,50 @@ def unfactorize_indexed(blocks, lattice):
     idx = (np.arange(lt.a)[:, None] - np.arange(J)[None, :] * lt.a) % lt.L
     f[idx] = x
     return f
+
+
+def lapack_hermitian_eigvals(blocks):
+    """Ascending eigenvalues of the Hermitian parts of (..., p, p) blocks,
+    one LAPACK call per block."""
+    blocks = np.asarray(blocks)
+    return np.linalg.eigvalsh(0.5 * (blocks + np.conj(np.swapaxes(blocks, -2, -1))))
+
+
+def lapack_eigvals(blocks):
+    """Eigenvalues of general (..., p, p) blocks, one LAPACK call per block."""
+    return np.linalg.eigvals(np.asarray(blocks))
+
+
+def _csqrt(x, y):
+    """Principal square root of x + i y in Decimal arithmetic."""
+    r = (x * x + y * y).sqrt()
+    if r == 0:
+        return x, y
+    if x >= 0:
+        u = ((r + x) / 2).sqrt()
+        return u, y / (2 * u)
+    v = ((r - x) / 2).sqrt().copy_sign(y)
+    return y / (2 * v), v
+
+
+def decimal_eigvals_2x2(block, hermitian=False):
+    """Both eigenvalues of one 2 x 2 block (of its Hermitian part if asked),
+    the roots m +- sqrt(((a - d)/2)^2 + b c) of the characteristic
+    polynomial evaluated in 60-digit decimal arithmetic, rounded to complex."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        (a, b), (c, d) = [[(Decimal(float(np.real(z))), Decimal(float(np.imag(z))))
+                           for z in row] for row in np.asarray(block, dtype=complex)]
+        if hermitian:
+            a, d = (a[0], Decimal(0)), (d[0], Decimal(0))
+            b = ((b[0] + c[0]) / 2, (b[1] - c[1]) / 2)
+            c = (b[0], -b[1])
+        m = ((a[0] + d[0]) / 2, (a[1] + d[1]) / 2)
+        h = ((a[0] - d[0]) / 2, (a[1] - d[1]) / 2)
+        s = _csqrt(h[0] * h[0] - h[1] * h[1] + b[0] * c[0] - b[1] * c[1],
+                   2 * h[0] * h[1] + b[0] * c[1] + b[1] * c[0])
+        return np.array([complex(float(m[0] - s[0]), float(m[1] - s[1])),
+                         complex(float(m[0] + s[0]), float(m[1] + s[1]))])
 
 
 def dense_operator_norm(mat):

@@ -119,16 +119,28 @@ def test_cholesky_solve_blocks_rejects_indefinite(rng):
     A[2, 1, 1, 1] = -1.0
     with pytest.raises(NotAFrameError, match="not a frame"):
         cholesky_solve_blocks(A, rng.standard_normal((4, 3, 3, 2)))
+    # the closed-form 1 x 1 factor fails where LAPACK's does; a NaN, which
+    # OpenBLAS's potrf passes through, fails at every p
+    for p, bad in ((1, 0.0), (1, -1.0), (1, np.nan), (2, np.nan), (3, np.nan)):
+        A = np.broadcast_to(np.eye(p, dtype=complex), (4, 3, p, p)).copy()
+        A[1, 2, p - 1, 0] = bad
+        if p == 1 and not np.isnan(bad):
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(A)
+        with pytest.raises(NotAFrameError, match="not a frame"):
+            cholesky_solve_blocks(A, rng.standard_normal((4, 3, p, 2)))
 
 
 def test_direct_methods_reject_non_frame():
-    lt = gw.derive_lattice(16, 4, 4)
-    delta = np.zeros(16, dtype=complex)
-    delta[0] = 1.0
-    fac = gw.factorize(delta, lt)
-    for fn in (gw.eig_tight, gw.svd_tight, gw.inv_dual):
-        with pytest.raises(NotAFrameError, match="not a frame"):
-            fn(fac)
+    # a delta at p = 1 and at p = 2, where the rank tests take closed forms
+    for L, a, b in ((16, 4, 4), (36, 4, 6)):
+        lt = gw.derive_lattice(L, a, b)
+        delta = np.zeros(L, dtype=complex)
+        delta[0] = 1.0
+        fac = gw.factorize(delta, lt)
+        for fn in (gw.eig_tight, gw.svd_tight, gw.inv_dual):
+            with pytest.raises(NotAFrameError, match="not a frame"):
+                fn(fac)
 
 
 def test_eig_degrades_svd_does_not(lat432):

@@ -135,10 +135,12 @@ def test_z_bounds_at_dual(lat432, gauss432, ref_dual432):
     assert zb.upper == pytest.approx(1.0, abs=1e-8)
 
 
-def test_z_bounds_warns_off_orbit(rng, lat432, gauss432):
-    noise = rng.standard_normal(432) + 1j * rng.standard_normal(432)
-    with pytest.warns(UserWarning, match="orbit"):
-        gw.z_bounds(gw.factorize(gauss432, lat432), gw.factorize(noise, lat432))
+def test_z_bounds_warns_off_orbit(rng, lat432, gauss432, lat600):
+    # p = 3 (LAPACK) and p = 2 (closed form)
+    for lt, g in ((lat432, gauss432), (lat600, gw.gaussian_window(600).astype(complex))):
+        noise = rng.standard_normal(lt.L) + 1j * rng.standard_normal(lt.L)
+        with pytest.warns(UserWarning, match="orbit"):
+            gw.z_bounds(gw.factorize(g, lt), gw.factorize(noise, lt))
 
 
 def test_convergence_order_synthetic():

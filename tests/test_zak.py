@@ -187,12 +187,14 @@ def test_frame_bounds_tight_ratio_one(lat432, ref_tight432):
 
 
 def test_frame_bounds_flags_non_frame():
-    lt = gw.derive_lattice(16, 4, 4)
-    delta = np.zeros(16, dtype=complex)
-    delta[0] = 1.0
-    fac = gw.factorize(delta, lt)
-    s = gw.frame_bounds(gw.block_gram(fac, fac))
-    assert not s.is_frame
+    # a delta at p = 1 and at p = 2 (time step a > 1 misses samples)
+    for L, a, b in ((16, 4, 4), (36, 4, 6)):
+        lt = gw.derive_lattice(L, a, b)
+        delta = np.zeros(L, dtype=complex)
+        delta[0] = 1.0
+        fac = gw.factorize(delta, lt)
+        s = gw.frame_bounds(gw.block_gram(fac, fac))
+        assert not s.is_frame, lt
 
 
 def test_blocks_immutable(lat432, gauss432):
