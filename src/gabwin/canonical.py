@@ -1,5 +1,7 @@
 """Direct (non-iterative) canonical-window methods on the block
-factorization: EIG, SVD and INV."""
+factorization: EIG, SVD and INV.  At p = 2 SVD's polar factor of a block
+Phi = B E (Gram-Schmidt) is [[s, -conj t], [t, s]] E / hypot(s, |t|), built
+from sums of positive terms so that nothing cancels (see svd_tight)."""
 
 from __future__ import annotations
 
@@ -42,22 +44,50 @@ def svd_tight(fac: ZakFactorization) -> ZakFactorization:
     Singular values are discarded (set to 1), so roundoff on small singular
     values never enters; depends only on the block column spaces.
 
-    When p = 1 each block is a single row phi, whose SVD is
-    (1, ||phi||, phi / ||phi||), so the polar factor U Vh is exactly
-    phi / ||phi||; it is computed in closed form, with the norm taken by
-    hypot so that it neither overflows nor underflows.  For p > 1 the
-    blocks go through LAPACK's SVD.
+    When p = 1 each block is a row phi, whose polar factor U Vh is
+    phi / ||phi||, the norm taken by hypot so that it neither overflows nor
+    underflows.
+
+    When p = 2 Gram-Schmidt on the rows (re-orthogonalized once) gives
+    Phi = B E, E with orthonormal rows, B = [[r11, 0], [t, r22]]; as det B > 0,
+    U Vh = [[s, -conj t], [t, s]] E / hypot(s, |t|) with s = r11 + r22 (Higham,
+    Functions of Matrices, ch. 8).  The rank test takes sigma1 = (hypot(s, |t|)
+    + hypot(r11 - r22, |t|)) / 2 and sigma2 = r11 (r22 / sigma1).  No step
+    subtracts nearly equal numbers.  For p > 2 LAPACK computes the SVD.
     """
     lt = fac.lattice
     if lt.p == 1:
         s = np.hypot.reduce(np.abs(fac.blocks), axis=-1, keepdims=True)
         _check_singular_values(s)
         polar = fac.blocks / s
+    elif lt.p == 2:
+        polar = _polar_2xq(fac.blocks)
     else:
         U, s, Vh = np.linalg.svd(fac.blocks, full_matrices=False)
         _check_singular_values(s)
         polar = np.einsum("rsij,rsjl->rsil", U, Vh)
     return ZakFactorization(lt, polar / np.sqrt(lt.c * lt.d * lt.q))
+
+
+def _polar_2xq(blocks: np.ndarray) -> np.ndarray:
+    """Polar factor of (..., 2, q) blocks in closed form (see svd_tight)."""
+    # an exact power-of-two scale keeps accepted blocks clear of subnormals
+    x = np.ascontiguousarray(blocks).view(float)
+    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1]).view(complex)
+    phi1, phi2 = x[..., 0, :], x[..., 1, :]
+    r11 = np.hypot.reduce(np.abs(phi1), axis=-1, keepdims=True)
+    _check_singular_values(r11)  # the test below implies it: sigma2 <= r11 <= sigma1
+    e1 = phi1 / r11
+    t = np.einsum("...i,...i->...", phi2, e1.conj())[..., None]
+    y = phi2 - t * e1
+    dt = np.einsum("...i,...i->...", y, e1.conj())[..., None]
+    y, t = y - dt * e1, t + dt
+    r22, at = np.hypot.reduce(np.abs(y), axis=-1, keepdims=True), np.abs(t)
+    h = np.hypot(r11 + r22, at)
+    sigma1 = 0.5 * (h + np.hypot(r11 - r22, at))
+    _check_singular_values(np.concatenate([sigma1, r11 * (r22 / sigma1)]))
+    e2, s, t = y / r22, (r11 + r22) / h, t / h
+    return np.stack([s * e1 - t.conj() * e2, t * e1 + s * e2], axis=-2)
 
 
 def _check_singular_values(s: np.ndarray) -> None:

@@ -36,6 +36,7 @@ from .zak import (SpectralSummary, ZakFactorization, block_gram, factorize,
 
 EXIT_NOT_A_FRAME = 2
 EXIT_DIVERGED = 3
+EXIT_NOT_CONVERGED = 4
 
 
 def _fmt(x) -> str:
@@ -126,7 +127,7 @@ def cmd_canonical(args: argparse.Namespace) -> int:
                                "ratio": summary.ratio},
     }
 
-    diverged = False
+    code = 0
     if args.method.startswith("iter:"):
         name = args.method.split(":", 1)[1]
         config = IterationConfig.from_algorithm(
@@ -139,7 +140,8 @@ def cmd_canonical(args: argparse.Namespace) -> int:
                 f"not {args.target}")
         trace = run(g, lattice, config)
         gamma = trace.final
-        diverged = trace.diverging and not trace.converged
+        if not trace.converged:
+            code = EXIT_DIVERGED if trace.diverging else EXIT_NOT_CONVERGED
         report["iteration"] = {
             "algorithm": name,
             "scaling": config.scaling,
@@ -190,7 +192,7 @@ def cmd_canonical(args: argparse.Namespace) -> int:
         fh.write("\n")
     print(f"{args.target} window via {args.method}: dual lattice norm {dln:.3e}, "
           f"Wexler-Raz residual {wr:.3e} -> {args.out}.window")
-    return EXIT_DIVERGED if diverged else 0
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--b", type=int, default=18)
         sp.add_argument("--window", default=default_window,
                         help="gauss:<w> | sech:<w> | monster:<sigma> | file:<path>")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed echoed into reports (experiments are deterministic)")
 
     pc = sub.add_parser("canonical", help="compute one canonical window")
     common(pc)

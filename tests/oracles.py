@@ -182,3 +182,15 @@ def random_valid_lattice(rng, max_factor=5):
     c = int(rng.integers(1, max_factor))
     d = int(rng.integers(1, max_factor))
     return c * d * p * q, p * c, p * d
+
+
+def mpmath_polar_factor(block, dps=50):
+    """Polar factor U Vh of one p x q block (p <= q) of full rank, as
+    (Phi Phi*)^(-1/2) Phi in dps-digit arithmetic, rounded to complex."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        phi = mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in block])
+        ev, Q = mpmath.eighe(phi * phi.H)
+        root = Q * mpmath.diag([1 / mpmath.sqrt(e) for e in ev]) * Q.H
+        return np.array((root * phi).tolist(), dtype=complex)

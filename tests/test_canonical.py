@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gabwin as gw
-from gabwin.canonical import cholesky_solve_blocks
+from gabwin.canonical import _polar_2xq, cholesky_solve_blocks
 from gabwin.errors import NotAFrameError
+from oracles import mpmath_polar_factor
 
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +106,114 @@ def test_svd_tight_p1_matches_lapack_polar_factor():
         polar = (U @ Vh) / np.sqrt(lt.c * lt.d * lt.q)
         out = gw.svd_tight(fac).blocks
         assert np.linalg.norm(out - polar) <= 1e-15 * np.linalg.norm(polar)
+
+
+def _lapack_polar(blocks):
+    U, _, Vh = np.linalg.svd(blocks, full_matrices=False)
+    return U @ Vh
+
+
+def test_svd_tight_p2_matches_lapack_polar_factor():
+    for L, a, b in ((600, 20, 20), (8640, 72, 80)):
+        lt = gw.derive_lattice(L, a, b)
+        assert lt.p == 2
+        for make in (gw.gaussian_window, gw.sech_window):
+            for w in (1 / 7, 1.0, 7.0):
+                fac = gw.factorize(make(L, w).astype(complex), lt)
+                polar = _lapack_polar(fac.blocks) / np.sqrt(lt.c * lt.d * lt.q)
+                out = gw.svd_tight(fac).blocks
+                assert np.linalg.norm(out - polar) <= 2e-15 * np.linalg.norm(polar), (L, w)
+
+
+@pytest.mark.parametrize("alpha", [1e200, 1e-200, 1e-160, 2.0**500, 2.0**-500])
+def test_svd_tight_scale_covariance_p2(alpha):
+    # products of block entries overflow at 1e200 and lose digits below
+    # about 1e-154; RuntimeWarnings are errors in this suite
+    lt = gw.derive_lattice(600, 20, 20)
+    g = gw.gaussian_window(600).astype(complex)
+    base = gw.svd_tight(gw.factorize(g, lt)).blocks
+    scaled = gw.svd_tight(gw.factorize(alpha * g, lt)).blocks
+    assert np.linalg.norm(scaled - base) <= 2e-15 * np.linalg.norm(base)
+
+
+def _block_with_condition(rng, q, kappa):
+    """A random complex 2 x q block with singular values 1 and 1/kappa."""
+    def orthonormal(n, k):
+        z = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        return np.linalg.qr(z)[0]
+    return orthonormal(2, 2) @ np.diag([1.0, 1.0 / kappa]) @ orthonormal(q, 2).conj().T
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_svd_tight_p2_matches_mpmath_on_ill_conditioned_blocks(q, rng):
+    # the closed form is as accurate as the problem allows: within
+    # 4 eps kappa of the 50-digit polar factor (measured: 0.12 eps kappa;
+    # LAPACK's U Vh reaches 0.84 eps kappa on the same blocks), with rows
+    # orthonormal to working precision whatever kappa is
+    for kappa in (1e2, 1e4, 1e6, 1e8, 1e10):
+        blocks = np.stack([_block_with_condition(rng, q, kappa) for _ in range(3)])
+        out = _polar_2xq(blocks)
+        for block, got in zip(blocks, out):
+            exact = mpmath_polar_factor(block)
+            assert np.abs(got - exact).max() <= 4 * EPS * kappa, kappa
+            assert np.abs(got @ got.conj().T - np.eye(2)).max() <= 8 * EPS, kappa
+
+
+@pytest.mark.parametrize("exponent", [-1030, -1050])
+def test_svd_tight_p2_subnormal_blocks(exponent, rng):
+    # every entry subnormal: dividing by such a row norm overflows unless
+    # the blocks are first scaled into the normal range
+    blocks = np.stack([_block_with_condition(rng, 5, 10.0) for _ in range(4)])
+    tiny = np.ldexp(blocks.view(float), exponent).view(complex)
+    assert np.abs(tiny).max() < np.finfo(float).tiny
+    kappa = np.linalg.cond(tiny).max()
+    assert np.abs(_polar_2xq(tiny) - _lapack_polar(tiny)).max() <= 16 * EPS * kappa
+
+
+def test_svd_tight_calls_lapack_svd_only_at_p_above_2(monkeypatch):
+    facs = {}
+    for L, a, b in ((240, 12, 10), (600, 20, 20), (432, 18, 18)):
+        lt = gw.derive_lattice(L, a, b)
+        facs[lt.p] = gw.factorize(gw.gaussian_window(L).astype(complex), lt)
+    assert sorted(facs) == [1, 2, 3]
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    gw.svd_tight(facs[1])
+    gw.svd_tight(facs[2])
+    with pytest.raises(AssertionError, match="svd called"):
+        gw.svd_tight(facs[3])
+
+
+_parts = st.integers(3, 8).flatmap(lambda q: st.lists(
+    st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False),
+    min_size=4 * q, max_size=4 * q))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(parts=_parts, exponent=st.integers(-1000, 1000), tilt=st.integers(0, 48))
+def test_svd_tight_p2_property(parts, exponent, tilt):
+    block = np.ldexp(np.array(parts), exponent).view(complex).reshape(1, 2, -1)
+    # 2^-tilt of the second row plus the first: kappa up to about 2^48
+    block[:, 1] = np.ldexp(block[:, 1].view(float), -tilt).view(complex) + block[:, 0]
+    # the checks run on the block scaled by a power of two into [1/2, 1)
+    # (exact), where LAPACK and the products below are clear of underflow
+    unit = np.ldexp(block.view(float), -np.frexp(np.abs(block).max())[1]).view(complex)
+    s = np.linalg.svd(unit, compute_uv=False)[0]
+    if not s[1] > 1.1e-13 * s[0]:
+        # within 10 % of the rank threshold either outcome is right
+        if s[1] <= 0.9e-13 * s[0]:
+            with pytest.raises(NotAFrameError, match="not a frame"):
+                _polar_2xq(block)
+        return
+    out = _polar_2xq(block)[0]
+    assert np.abs(out @ out.conj().T - np.eye(2)).max() <= 8 * EPS
+    h = out @ unit[0].conj().T  # polar(Phi) Phi* = (Phi Phi*)^(1/2)
+    assert np.abs(h - h.conj().T).max() <= 8 * EPS * s[0]
+    assert np.linalg.eigvalsh(0.5 * (h + h.conj().T)).min() >= -8 * EPS * s[0]
+    assert np.abs(out - _lapack_polar(unit)[0]).max() <= 16 * EPS * s[0] / s[1]
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 5])

@@ -77,6 +77,24 @@ def test_divergence_exit_code(tmp_path):
     assert report["result"]["dual_lattice_norm"] > 0.1
 
 
+def test_step_budget_exit_code(tmp_path):
+    # a run that stops neither converged nor diverging writes its window
+    # and report, but must not exit 0
+    code = run_cli("canonical", "--method", "iter:II", "--steps", 0,
+                   "--out", tmp_path / "budget")
+    assert code == 4
+    report = json.loads((tmp_path / "budget.report.json").read_text())
+    assert report["iteration"]["converged"] is False
+    assert report["iteration"]["diverging"] is False
+    assert report["result"]["dual_lattice_norm"] > 0.1
+    assert (tmp_path / "budget.window").stat().st_size == 8 * 432
+
+
+def test_seed_option_removed(tmp_path):
+    with pytest.raises(SystemExit):
+        run_cli("canonical", "--seed", 5, "--out", tmp_path / "x")
+
+
 def test_wrong_method_target_pairing(tmp_path):
     code = run_cli("canonical", "--target", "dual", "--method", "svd",
                    "--out", tmp_path / "x")
