@@ -46,7 +46,7 @@ def svd_tight(fac: ZakFactorization) -> ZakFactorization:
 
     When p = 1 each block is a row phi, whose polar factor U Vh is
     phi / ||phi||, the norm taken by hypot so that it neither overflows nor
-    underflows.
+    underflows, on blocks scaled clear of subnormals (_unit_scaled).
 
     When p = 2 Gram-Schmidt on the rows (re-orthogonalized once) gives
     Phi = B E, E with orthonormal rows, B = [[r11, 0], [t, r22]]; as det B > 0,
@@ -57,23 +57,22 @@ def svd_tight(fac: ZakFactorization) -> ZakFactorization:
     """
     lt = fac.lattice
     if lt.p == 1:
-        s = np.hypot.reduce(np.abs(fac.blocks), axis=-1, keepdims=True)
+        x = _unit_scaled(fac.blocks)
+        s = np.hypot.reduce(np.abs(x), axis=-1, keepdims=True)
         _check_singular_values(s)
-        polar = fac.blocks / s
+        polar = np.divide(x, s, out=x)
     elif lt.p == 2:
         polar = _polar_2xq(fac.blocks)
     else:
         U, s, Vh = np.linalg.svd(fac.blocks, full_matrices=False)
         _check_singular_values(s)
         polar = np.einsum("rsij,rsjl->rsil", U, Vh)
-    return ZakFactorization(lt, polar / np.sqrt(lt.c * lt.d * lt.q))
+    return ZakFactorization(lt, np.divide(polar, np.sqrt(lt.c * lt.d * lt.q), out=polar))
 
 
 def _polar_2xq(blocks: np.ndarray) -> np.ndarray:
     """Polar factor of (..., 2, q) blocks in closed form (see svd_tight)."""
-    # an exact power-of-two scale keeps accepted blocks clear of subnormals
-    x = np.ascontiguousarray(blocks).view(float)
-    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1]).view(complex)
+    x = _unit_scaled(blocks)
     phi1, phi2 = x[..., 0, :], x[..., 1, :]
     r11 = np.hypot.reduce(np.abs(phi1), axis=-1, keepdims=True)
     _check_singular_values(r11)  # the test below implies it: sigma2 <= r11 <= sigma1
@@ -88,6 +87,13 @@ def _polar_2xq(blocks: np.ndarray) -> np.ndarray:
     _check_singular_values(np.concatenate([sigma1, r11 * (r22 / sigma1)]))
     e2, s, t = y / r22, (r11 + r22) / h, t / h
     return np.stack([s * e1 - t.conj() * e2, t * e1 + s * e2], axis=-2)
+
+
+def _unit_scaled(blocks: np.ndarray) -> np.ndarray:
+    """blocks over the power of two that takes their largest part into
+    [1/2, 1): exact, and clear of subnormals where the rank test passes."""
+    x = np.ascontiguousarray(blocks).view(float)
+    return np.ldexp(x, -np.frexp(max(x.max(), -x.min()))[1]).view(complex)
 
 
 def _check_singular_values(s: np.ndarray) -> None:

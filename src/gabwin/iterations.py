@@ -30,6 +30,7 @@ from .zak import (
     BlockOperator,
     SpectralSummary,
     ZakFactorization,
+    _block_product,
     _gram_blocks,
     block_gram,
     factorize,
@@ -233,22 +234,18 @@ def _combine(coeffs, terms, norm_scaled: bool) -> np.ndarray:
     return sum(cf * T for cf, T in zip(coeffs, terms))
 
 
-def _apply(op: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    return np.einsum("rskm,rsml->rskl", op, blocks)
-
-
 def _tight_step_blocks(blocks, A, order, norm_scaled):
     terms = [blocks]
     for _ in range(order - 1):
-        terms.append(_apply(A, terms[-1]))
+        terms.append(_block_product(A, terms[-1]))
     return _combine(tight_taylor_coeffs(order), terms, norm_scaled)
 
 
 def _dual_step_blocks(blocks, g_blocks, Agg, lattice, order, norm_scaled):
     A = _gram_blocks(blocks, blocks, lattice)
-    terms = [blocks, _apply(A, g_blocks)]
+    terms = [blocks, _block_product(A, g_blocks)]
     while len(terms) < order:
-        terms.append(_apply(Agg, _apply(A, terms[-2])))
+        terms.append(_block_product(Agg, _block_product(A, terms[-2])))
     return _combine(dual_taylor_coeffs(order), terms[:order], norm_scaled)
 
 
@@ -325,10 +322,6 @@ def _normalized(x: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
-def _norm_error(x: np.ndarray, ref: np.ndarray) -> float:
-    return float(np.linalg.norm(_normalized(x) - _normalized(ref)))
-
-
 class _DivergenceDetector:
     """Flags a run whose relative step grows for 3 consecutive steps after
     having decreased at least once.
@@ -384,12 +377,13 @@ def run(g: np.ndarray, lattice: GaborLattice, config: IterationConfig) -> Iterat
         reference = unfactorize(inv_dual(fac_g))
 
     trace = IterationTrace(config=config, lattice=lattice, reference=reference)
+    unit_reference = _normalized(reference)
 
     def record(blocks, signal):
         """Append the diagnostics of iterand `blocks`; returns the Gram they
         come from: A^{gamma,gamma} (tight) or A^{g,gamma} (dual)."""
         trace.iterands.append(signal)
-        trace.errors.append(_norm_error(signal, reference))
+        trace.errors.append(float(np.linalg.norm(_normalized(signal) - unit_reference)))
         if config.target == "tight":
             A = _gram_blocks(blocks, blocks, lattice)
             trace.bounds.append(frame_bounds(BlockOperator(lattice, A)))

@@ -17,6 +17,11 @@ As a = p c and M = q c, (r + k M) // a = floor(k q / p) and
 blocks are the (a, N) Zak grid viewed as (p, c, q, d), times a (p, 1, q, d)
 twiddle shared by the c rows of a row block, with its p row blocks permuted
 by m and transposed.  No call builds an L-sized index or twiddle array.
+Gram blocks and block products are sums of whole (c, d)-plane products,
+entry by entry, at p <= 2.  At p >= 3 einsum computes them, because the
+p^2 q ufunc calls would cost more at small c d, and because numpy's complex
+multiply fuses its products (FMA) where einsum's loop does not, so einsum
+keeps every p >= 3 output bit for bit.
 """
 
 from __future__ import annotations
@@ -195,10 +200,50 @@ def unfactorize(fac: ZakFactorization) -> np.ndarray:
 
 
 def _gram_blocks(X: np.ndarray, Y: np.ndarray, lattice: GaborLattice) -> np.ndarray:
+    """Gram blocks cdq X Y* (..., p, p) of (..., p, q) blocks, in the input
+    dtype.  At p <= 2 entry (k, m) is the q-term sum of X[..., k, l]
+    conj(Y[..., m, l]) over the (c, d) plane, the upper triangle only when
+    X is Y, so A is exactly Hermitian.  At p >= 3 einsum runs: p^2 q ufunc
+    calls cost more at small c d, and its unfused products keep the bits."""
     # cdq restores the frame-operator normalization on unitary factorizations
-    return lattice.c * lattice.d * lattice.q * np.einsum(
-        "rskl,rsml->rskm", X, Y.conj()
-    )
+    cdq = lattice.c * lattice.d * lattice.q
+    p, q = X.shape[-2:]
+    if p > 2:
+        return cdq * np.einsum("rskl,rsml->rskm", X, Y.conj())
+    herm = X is Y
+
+    def term(k, m, l):
+        if herm and m == k:  # a fused x conj(x) would not be exactly real
+            return X[..., k, l].real ** 2 + X[..., k, l].imag ** 2
+        return X[..., k, l] * Y[..., m, l].conj()
+
+    out = np.empty(X.shape[:-2] + (p, p), dtype=np.result_type(X, Y))
+    for k in range(p):
+        for m in range(k if herm else 0, p):
+            acc = term(k, m, 0)
+            for l in range(1, q):
+                acc += term(k, m, l)
+            out[..., k, m] = acc
+            if herm and m > k:
+                out[..., m, k] = acc.conj()
+    return np.multiply(out, cdq, out=out)
+
+
+def _block_product(op: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Blockwise products op X of (..., p, p) and (..., p, q) blocks.  At
+    p <= 2 each entry is the p-term sum of op[..., k, m] X[..., m, l] over
+    the (c, d) plane, accumulated in place in the input dtype; at p >= 3
+    einsum runs (see _gram_blocks)."""
+    p, q = X.shape[-2:]
+    if p > 2:
+        return np.einsum("rskm,rsml->rskl", op, X)
+    out = np.empty(X.shape, dtype=np.result_type(op, X))
+    for k in range(p):
+        for l in range(q):
+            acc = np.multiply(op[..., k, 0], X[..., 0, l], out=out[..., k, l])
+            for m in range(1, p):
+                acc += op[..., k, m] * X[..., m, l]
+    return out
 
 
 def block_gram(fac_f: ZakFactorization, fac_h: ZakFactorization) -> BlockOperator:
@@ -218,9 +263,7 @@ def apply_block_operator(op: BlockOperator, fac: ZakFactorization) -> ZakFactori
     """Blockwise matrix product: (A Phi)_{r,s} = A_{r,s} Phi_{r,s}."""
     if op.lattice != fac.lattice:
         raise ValueError("lattice mismatch")
-    return ZakFactorization(
-        fac.lattice, np.einsum("rskm,rsml->rskl", op.blocks, fac.blocks)
-    )
+    return ZakFactorization(fac.lattice, _block_product(op.blocks, fac.blocks))
 
 
 def hermitian_part(blocks: np.ndarray) -> np.ndarray:

@@ -98,6 +98,18 @@ def unfactorize_indexed(blocks, lattice):
     return f
 
 
+def einsum_gram(X, Y, lattice):
+    """Gram blocks cdq X Y* of (..., p, q) blocks by one einsum over all
+    blocks, the kernel's form at p >= 3."""
+    return lattice.c * lattice.d * lattice.q * np.einsum(
+        "rskl,rsml->rskm", X, np.conj(Y))
+
+
+def einsum_block_product(op, X):
+    """Blockwise products op X by one einsum, the kernel's form at p >= 3."""
+    return np.einsum("rskm,rsml->rskl", op, X)
+
+
 def lapack_hermitian_eigvals(blocks):
     """Ascending eigenvalues of the Hermitian parts of (..., p, p) blocks,
     one LAPACK call per block."""

@@ -98,6 +98,29 @@ def test_svd_tight_scale_covariance_p1(alpha):
     assert np.linalg.norm(scaled - base) <= 1e-14 * np.linalg.norm(base)
 
 
+@pytest.mark.parametrize("alpha", [1e-310, 2.0**-1040])
+def test_svd_tight_p1_subnormal_blocks(alpha):
+    # dividing by a subnormal row norm overflows unless the blocks are first
+    # scaled into the normal range; the error is that of the subnormal input
+    lt = gw.derive_lattice(240, 12, 10)
+    g = gw.gaussian_window(240).astype(complex)
+    base = gw.svd_tight(gw.factorize(g, lt)).blocks
+    scaled = gw.svd_tight(gw.factorize(alpha * g, lt)).blocks
+    spacing = np.finfo(float).smallest_subnormal / (alpha * np.abs(g).max())
+    assert np.abs(scaled - base).max() <= 32 * spacing * np.abs(base).max()
+
+
+def test_svd_tight_p1_scale_is_exact():
+    # no scaled entry is subnormal, so the scale leaves every bit unchanged
+    for L, a, b in ((240, 12, 10), (65536, 256, 128)):
+        lt = gw.derive_lattice(L, a, b)
+        for g in (gw.gaussian_window(L), gw.sech_window(L)):
+            fac = gw.factorize(np.asarray(g, dtype=complex), lt)
+            s = np.hypot.reduce(np.abs(fac.blocks), axis=-1, keepdims=True)
+            unscaled = fac.blocks / s / np.sqrt(lt.c * lt.d * lt.q)
+            assert np.array_equal(gw.svd_tight(fac).blocks, unscaled)
+
+
 def test_svd_tight_p1_matches_lapack_polar_factor():
     lt = gw.derive_lattice(240, 12, 10)
     for g in (gw.gaussian_window(240), gw.sech_window(240)):

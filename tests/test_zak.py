@@ -1,15 +1,18 @@
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import gabwin as gw
-from gabwin.zak import _plan
+from gabwin.zak import _block_product, _gram_blocks, _plan
 
-from oracles import (dzt_direct, dzt_indexed, factorize_indexed,
-                     literal_frame_operator, random_valid_lattice,
-                     unfactorize_indexed)
+from oracles import (dzt_direct, dzt_indexed, einsum_block_product, einsum_gram,
+                     factorize_indexed, literal_frame_operator,
+                     random_valid_lattice, unfactorize_indexed)
+
+EPS = np.finfo(float).eps
 
 
 def test_dzt_impulse():
@@ -276,3 +279,109 @@ def test_factorize_rejects_non_finite_samples(lat432, gauss432, bad):
     f[[7, 300]] = bad
     with pytest.raises(ValueError, match=r"f\[7\]"):
         gw.factorize(f, lat432)
+
+
+def _kernel_inputs(L, a, b, seed):
+    """A lattice, the blocks of a Gaussian G and a random R, and A^{G,G}."""
+    lt = gw.derive_lattice(L, a, b)
+    rng = np.random.default_rng(seed)
+    G = gw.factorize(gw.gaussian_window(L).astype(complex), lt).blocks
+    R = gw.factorize(rng.standard_normal(L) + 1j * rng.standard_normal(L), lt).blocks
+    return lt, G, R, einsum_gram(G, G, lt)
+
+
+def _p_le_2_lattices():
+    lattices = [(240, 12, 10), (216, 12, 12), (600, 20, 20), (8640, 72, 80)]
+    sampler = np.random.default_rng(9)
+    while len(lattices) < 24:
+        L, a, b = random_valid_lattice(sampler)
+        if L <= 2000 and gw.derive_lattice(L, a, b).p <= 2:
+            lattices.append((L, a, b))
+    return lattices
+
+
+@pytest.mark.parametrize("lab", [(432, 18, 18), (540, 18, 18)])
+def test_kernels_equal_einsum_oracle_at_p_above_2(lab):
+    lt, G, R, A = _kernel_inputs(*lab, seed=3)
+    assert lt.p >= 3
+    for X, Y in ((G, G), (R, R), (G, R)):
+        assert np.array_equal(_gram_blocks(X, Y, lt), einsum_gram(X, Y, lt))
+    for X in (G, R):
+        assert np.array_equal(_block_product(A, X), einsum_block_product(A, X))
+
+
+def test_kernels_match_einsum_oracle_at_p_le_2():
+    # per entry within 4 eps of the sum of the moduli of its terms
+    lattices = _p_le_2_lattices()
+    assert {gw.derive_lattice(*lab).p for lab in lattices} == {1, 2}
+    for i, (L, a, b) in enumerate(lattices):
+        lt, G, R, A = _kernel_inputs(L, a, b, seed=i)
+        for X, Y in ((G, G), (R, R), (G, R), (R, G)):
+            bound = 4 * EPS * einsum_gram(np.abs(X), np.abs(Y), lt)
+            err = np.abs(_gram_blocks(X, Y, lt) - einsum_gram(X, Y, lt))
+            assert (err <= bound).all(), (L, a, b)
+        for op in (A, einsum_gram(G, R, lt)):
+            for X in (G, R):
+                bound = 4 * EPS * einsum_block_product(np.abs(op), np.abs(X))
+                err = np.abs(_block_product(op, X) - einsum_block_product(op, X))
+                assert (err <= bound).all(), (L, a, b)
+
+
+def test_block_gram_exactly_hermitian_at_p_le_2():
+    for i, (L, a, b) in enumerate(_p_le_2_lattices()):
+        lt, G, R, _ = _kernel_inputs(L, a, b, seed=i)
+        for X in (G, R):
+            fac = gw.ZakFactorization(lt, X)
+            A = gw.block_gram(fac, fac).blocks
+            assert np.array_equal(A, np.conj(np.swapaxes(A, -2, -1))), (L, a, b)
+
+
+@pytest.mark.parametrize("lab", [(240, 12, 10), (600, 20, 20), (432, 18, 18)])
+def test_kernels_keep_clongdouble(lab):
+    lt, G, R, A = _kernel_inputs(*lab, seed=5)
+    Gl, Rl, Al = (x.astype(np.clongdouble) for x in (G, R, A))
+    for X, Y in ((Gl, Gl), (Gl, Rl)):
+        gram = _gram_blocks(X, Y, lt)
+        assert gram.dtype == np.clongdouble
+        assert np.allclose(gram, einsum_gram(X, Y, lt), rtol=0, atol=1e-14)
+    product = _block_product(Al, Rl)
+    assert product.dtype == np.clongdouble
+    assert np.allclose(product, einsum_block_product(A, R), rtol=0, atol=1e-13)
+
+
+def test_kernels_call_einsum_only_at_p_above_2(monkeypatch):
+    facs = {}
+    for L, a, b in ((240, 12, 10), (600, 20, 20), (432, 18, 18)):
+        lt = gw.derive_lattice(L, a, b)
+        facs[lt.p] = gw.factorize(gw.gaussian_window(L).astype(complex), lt)
+    assert sorted(facs) == [1, 2, 3]
+
+    def no_einsum(*args, **kwargs):
+        raise AssertionError("np.einsum called")
+
+    monkeypatch.setattr(np, "einsum", no_einsum)
+    for p, fac in facs.items():
+        calls = [lambda: gw.block_gram(fac, fac),
+                 lambda: gw.apply_block_operator(
+                     gw.BlockOperator(fac.lattice, np.ones(fac.blocks.shape[:-1] + (p,))),
+                     fac),
+                 lambda: gw.step_tight(fac, order=3),
+                 lambda: gw.step_dual(fac, fac, order=3)]
+        for call in calls:
+            if p <= 2:
+                call()
+            else:
+                with pytest.raises(AssertionError, match="einsum called"):
+                    call()
+
+
+@pytest.mark.parametrize("alpha", [1e-160, 1e-200])
+@pytest.mark.parametrize("lab", [(240, 12, 10), (600, 20, 20)])
+def test_kernels_leak_no_runtime_warning_at_small_scales(alpha, lab):
+    lt = gw.derive_lattice(*lab)
+    fac = gw.factorize(alpha * gw.gaussian_window(lt.L).astype(complex), lt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        op = gw.block_gram(fac, fac)
+        gw.frame_bounds(op)
+        gw.apply_block_operator(op, fac)
