@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import os
 import platform
 import sys
 
@@ -54,12 +55,21 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "BLIS_NUM_THREADS")
+
+
 def write_sidecar(path: str, args: argparse.Namespace) -> None:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     info = {
         "command": vars(args).copy(),
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "thread_env": {v: os.environ.get(v) for v in _THREAD_VARS},
+            "cpu_count": os.cpu_count(),
+            "cpu_affinity": sorted(os.sched_getaffinity(0)),
             "platform": platform.platform(),
             "gabwin": __version__,
         },

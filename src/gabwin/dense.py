@@ -3,23 +3,20 @@
 The synthesis matrix O_g holds all lattice shifts of g as columns; its
 SVD gives ground-truth canonical windows (polar decomposition and
 pseudo-inverse), and every iteration acts as a scalar recursion on its
-singular values.  Dense work is guarded to L <= 2048; the block path has
-no such limit.
+singular values: scalar_iteration runs the block iteration loop of
+iterations.run on 1 x 1 blocks with Gram sigma^2, so the step rules and
+scalings live in iterations alone.  Dense work is guarded to L <= 2048;
+the block path has no such limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NotAFrameError
-from .iterations import (
-    IterationConfig,
-    dual_taylor_coeffs,
-    optimal_scaling_constant,
-    tight_taylor_coeffs,
-)
+from .iterations import IterationConfig, _iterate, _prescale
 from .lattice import GaborLattice, tf_shift
 
 __all__ = [
@@ -96,79 +93,32 @@ def normalized_singular_values(g: np.ndarray, lattice: GaborLattice) -> np.ndarr
     return np.linalg.svd(O, compute_uv=False) / np.sqrt(lattice.M * lattice.N)
 
 
-def _vec_norm(x: np.ndarray) -> float:
-    return np.sqrt((x * x).sum())
+def _scalar_gram(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    return X * Y.conj()
 
 
 def scalar_iteration(sigmas: np.ndarray, config: IterationConfig,
                      steps: int | None = None) -> np.ndarray:
     """Run an iteration as a scalar recursion on singular values.
 
-    Returns the (steps+1, n) trace of sigma vectors.  Norm scaling is
-    scale-invariant in the input; for initial scaling pass raw singular
-    values (so sigma^2 is the frame-operator spectrum) and the configured
-    Bhat prescale is applied once.  Computations stay in the input dtype,
-    so longdouble input gives an extended-precision trace.
+    This is the block iteration of ``run`` on 1 x 1 blocks: sigma viewed as
+    (n, 1, 1, 1) blocks with Gram sigma^2, for exactly ``steps`` steps
+    (default ``config.max_steps``).  Returns the (steps+1, n) trace of sigma
+    vectors; a run that diverges (an iterand whose norm is not finite) is
+    frozen at the iterand before.  Norm
+    scaling is scale-invariant in the input; for initial scaling pass raw
+    singular values (so sigma^2 is the frame-operator spectrum) and an
+    explicit Bhat.  Computations stay in the input dtype, so longdouble
+    input gives an extended-precision trace.
     """
-    sig = np.array(sigmas, copy=True)
-    dtype = sig.dtype
+    if config.scaling == "initial" and config.Bhat is None:
+        raise ValueError("initial scaling of a scalar run needs an explicit Bhat")
     steps = config.max_steps if steps is None else steps
-
-    if config.scaling == "initial":
-        if config.Bhat is None:
-            raise ValueError("initial scaling of a scalar run needs an explicit Bhat")
-        sig = sig / np.sqrt(dtype.type(config.Bhat))
-    elif config.scaling == "initial_optimal":
-        lo, hi = float((sig**2).min()), float((sig**2).max())
-        sig = sig / np.sqrt(dtype.type(
-            optimal_scaling_constant(lo, hi, config.algorithm_name)))
-
-    sig0 = sig.copy()
-    coeffs = None
-    if not config.inverse:
-        raw = (tight_taylor_coeffs(config.order) if config.target == "tight"
-               else dual_taylor_coeffs(config.order))
-        coeffs = raw.astype(dtype)
-
-    norm_scaled = config.scaling == "norm"
-    trace = [sig.copy()]
-    for _ in range(steps):
-        if config.scaling == "constant_optimal":
-            if config.target == "tight":
-                lo, hi = float((sig**2).min()), float((sig**2).max())
-                const = optimal_scaling_constant(lo, hi, config.algorithm_name)
-                sig = sig / np.sqrt(dtype.type(const))
-            else:
-                z = sig0 * sig
-                const = optimal_scaling_constant(float(np.abs(z).min()),
-                                                 float(np.abs(z).max()),
-                                                 config.algorithm_name)
-                sig = sig / dtype.type(const)
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            if config.inverse:
-                t0, t1 = sig, 1.0 / sig
-                sig = 0.5 * t0 / _vec_norm(t0) + 0.5 * t1 / _vec_norm(t1)
-            elif config.target == "tight":
-                terms = [sig]
-                for _j in range(config.order - 1):
-                    terms.append(terms[-1] * sig * sig)
-                if norm_scaled:
-                    sig = sum(cf * T / _vec_norm(T) for cf, T in zip(coeffs, terms))
-                else:
-                    sig = sum(cf * T for cf, T in zip(coeffs, terms))
-            else:
-                zfac = sig0 * sig
-                terms = [sig, sig * zfac]
-                while len(terms) < config.order:
-                    terms.append(terms[-2] * zfac * zfac)
-                if norm_scaled:
-                    sig = sum(cf * T / _vec_norm(T) for cf, T in zip(coeffs, terms))
-                else:
-                    sig = sum(cf * T for cf, T in zip(coeffs, terms))
-        if not np.isfinite(sig).all():
-            # diverged; freeze the trace at the last finite iterand
-            trace.extend(trace[-1].copy() for _ in range(steps - len(trace) + 1))
-            break
-        trace.append(sig.copy())
+    config = replace(config, stop_mode="fixed", max_steps=steps)
+    sig = _prescale(np.asarray(sigmas).reshape(-1, 1, 1, 1), config, _scalar_gram,
+                    config.Bhat)
+    trace = []
+    if _iterate(sig, config, _scalar_gram,
+                lambda blocks, *_: trace.append(blocks.reshape(-1))) == "diverging":
+        trace.extend(trace[-1:] * (steps + 1 - len(trace)))
     return np.array(trace)

@@ -12,13 +12,17 @@ polynomial term is divided by its own norm; under initial scaling the window
 is divided once by Bhat^(1/2) and the raw polynomial is used from then on.
 Powers of Z_k never require a square root thanks to
 Z^(2r) gamma = (S S_k)^r gamma and Z^(2r+1) gamma = (S S_k)^r S_k g.
+
+One loop (_iterate, after _prescale) holds the step rules, the scalings and
+the stopping rule; run() observes its iterands, dense.scalar_iteration runs
+it on 1 x 1 blocks of singular values.  Norms stay in the input dtype.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -27,14 +31,12 @@ from .canonical import cholesky_solve_blocks, inv_dual, svd_tight
 from .errors import NotAFrameError
 from .lattice import GaborLattice
 from .zak import (
-    BlockOperator,
     SpectralSummary,
     ZakFactorization,
     _block_product,
     _gram_blocks,
-    block_gram,
+    _hermitian_eigvals,
     factorize,
-    frame_bounds,
     unfactorize,
 )
 
@@ -224,13 +226,9 @@ class IterationConfig:
 # ---------------------------------------------------------------------------
 # Single steps (block domain)
 
-def _norm(blocks: np.ndarray) -> float:
-    return float(np.linalg.norm(blocks))
-
-
 def _combine(coeffs, terms, norm_scaled: bool) -> np.ndarray:
     if norm_scaled:
-        return sum(cf * T / _norm(T) for cf, T in zip(coeffs, terms))
+        return sum(cf * T / np.linalg.norm(T) for cf, T in zip(coeffs, terms))
     return sum(cf * T for cf, T in zip(coeffs, terms))
 
 
@@ -241,8 +239,8 @@ def _tight_step_blocks(blocks, A, order, norm_scaled):
     return _combine(tight_taylor_coeffs(order), terms, norm_scaled)
 
 
-def _dual_step_blocks(blocks, g_blocks, Agg, lattice, order, norm_scaled):
-    A = _gram_blocks(blocks, blocks, lattice)
+def _dual_step_blocks(blocks, g_blocks, Agg, gram, order, norm_scaled):
+    A = gram(blocks, blocks)
     terms = [blocks, _block_product(A, g_blocks)]
     while len(terms) < order:
         terms.append(_block_product(Agg, _block_product(A, terms[-2])))
@@ -254,7 +252,7 @@ def _inverse_step_blocks(blocks, A):
         solved = cholesky_solve_blocks(A, blocks)
     except NotAFrameError as exc:
         raise NotAFrameError("iterand lost frame property") from exc
-    return 0.5 * blocks / _norm(blocks) + 0.5 * solved / _norm(solved)
+    return 0.5 * blocks / np.linalg.norm(blocks) + 0.5 * solved / np.linalg.norm(solved)
 
 
 def step_tight(fac: ZakFactorization, order: int = 2, scaling: str = "norm") -> ZakFactorization:
@@ -271,9 +269,9 @@ def step_dual(fac: ZakFactorization, fac_g: ZakFactorization, order: int = 2,
     window g held fixed across steps."""
     if fac.lattice != fac_g.lattice:
         raise ValueError("lattice mismatch")
-    Agg = _gram_blocks(fac_g.blocks, fac_g.blocks, fac_g.lattice)
-    out = _dual_step_blocks(fac.blocks, fac_g.blocks, Agg, fac.lattice, order,
-                            scaling == "norm")
+    gram = partial(_gram_blocks, lattice=fac.lattice)
+    out = _dual_step_blocks(fac.blocks, fac_g.blocks, gram(fac_g.blocks, fac_g.blocks),
+                            gram, order, scaling == "norm")
     return ZakFactorization(fac.lattice, out)
 
 
@@ -350,26 +348,105 @@ class _DivergenceDetector:
         return self.growth >= 3
 
 
+def _spectrum(A: np.ndarray, target: str) -> SpectralSummary:
+    """Frame bounds (tight) or Z-bounds (dual) of the Gram blocks A."""
+    if target == "dual":
+        return diagnostics._z_spectrum(A)
+    ev = _hermitian_eigvals(A)
+    return SpectralSummary(lower=float(ev.min()), upper=float(ev.max()))
+
+
+def _prescale(g_blocks: np.ndarray, config: IterationConfig, gram, Bhat) -> np.ndarray:
+    """The window the iteration starts from: g / Bhat^(1/2) (initial), g over
+    the root of the optimal constant of its frame bounds (initial_optimal),
+    else g.  gram(X, Y) gives Gram blocks.  Raises ValueError when the
+    squared norm of that window underflows, as every bound would."""
+    finfo = np.finfo(g_blocks.dtype)
+    if config.scaling == "initial_optimal":
+        bounds = _spectrum(gram(g_blocks, g_blocks), "tight")
+        if not bounds.is_frame:
+            raise NotAFrameError("not a frame: cannot compute optimal scaling")
+        Bhat = optimal_scaling_constant(bounds.lower, bounds.upper, config.algorithm_name)
+    if config.scaling in ("initial", "initial_optimal"):
+        if not Bhat > 0:
+            raise ValueError("Bhat must be positive")
+        g_blocks = g_blocks / np.sqrt(finfo.dtype.type(Bhat))
+    g_norm, least = np.linalg.norm(g_blocks), np.sqrt(finfo.tiny)
+    if not g_norm >= least:
+        raise ValueError(f"window norm too small: {g_norm:.3g} < {least:.3g}, "
+                         f"its square underflows {finfo.dtype}")
+    return g_blocks
+
+
+def _iterate(g_blocks: np.ndarray, config: IterationConfig, gram, observe) -> str | None:
+    """Iterate from the (prescaled) window g_blocks to the stopping rule.
+
+    gram(X, Y) gives the Gram blocks of X and Y.  Every iterand is observed
+    once, through A^{gamma,gamma} (tight; the next step reuses it) or
+    A^{g,gamma} (dual) and that Gram's spectrum, which constant_optimal
+    reads: observe(blocks, A, bounds, rel) gets them with the relative step
+    that led to the iterand (None for gamma_0 = g).  Returns "converged",
+    "diverging" or None when the step budget is used up.
+    """
+    real = np.finfo(g_blocks.dtype).dtype.type
+    tight = config.target == "tight"
+    norm_scaled = config.scaling == "norm"
+    detector = _DivergenceDetector()
+
+    def observed(blocks, rel):
+        A = gram(blocks, blocks) if tight else gram(g_blocks, blocks)
+        bounds = _spectrum(A, config.target)
+        observe(blocks, A, bounds, rel)
+        return A, bounds
+
+    blocks = g_blocks
+    # at gamma_0 = g both targets' Gram is A^{g,g}, which the dual steps reuse
+    A, bounds = observed(blocks, None)
+    Agg = A
+    for _ in range(config.max_steps):
+        if config.scaling == "constant_optimal":
+            const = real(optimal_scaling_constant(bounds.lower, bounds.upper,
+                                                  config.algorithm_name))
+            if tight:
+                blocks, A = blocks / np.sqrt(const), A / const
+            else:
+                blocks = blocks / const
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            if config.inverse:
+                new = _inverse_step_blocks(blocks, A)
+            elif tight:
+                new = _tight_step_blocks(blocks, A, config.order, norm_scaled)
+            else:
+                new = _dual_step_blocks(blocks, g_blocks, Agg, gram, config.order,
+                                        norm_scaled)
+            new_norm = np.linalg.norm(new)
+            if not np.isfinite(new_norm) or new_norm == 0.0:
+                return "diverging"
+            rel = np.linalg.norm(new - blocks) / new_norm
+
+        blocks = new
+        A, bounds = observed(blocks, rel)
+        if config.stop_mode == "fixed":
+            continue
+        if rel < config.step_threshold:
+            return "converged"
+        if detector.update(rel):
+            return "diverging"
+    return None
+
+
 def run(g: np.ndarray, lattice: GaborLattice, config: IterationConfig) -> IterationTrace:
     """Run an iteration to the configured stopping rule, recording
     diagnostics at every step."""
     fac0 = factorize(g, lattice)
-
-    if config.scaling == "initial":
-        Bhat = config.Bhat if config.Bhat is not None else _upper_frame_bound(
-            _gram_blocks(fac0.blocks, fac0.blocks, lattice), lattice)
-        fac0 = initial_scale(fac0, Bhat)
-    elif config.scaling == "initial_optimal":
-        summary = frame_bounds(block_gram(fac0, fac0))
-        if not summary.is_frame:
-            raise NotAFrameError("not a frame: cannot compute optimal scaling")
-        fac0 = initial_scale(
-            fac0, optimal_scaling_constant(summary.lower, summary.upper,
-                                           config.algorithm_name))
-
-    g_blocks = fac0.blocks.copy()
+    gram = partial(_gram_blocks, lattice=lattice)
+    Bhat = config.Bhat
+    if config.scaling == "initial" and Bhat is None:
+        Bhat = _upper_frame_bound(gram(fac0.blocks, fac0.blocks), lattice)
+    g_blocks = _prescale(fac0.blocks, config, gram, Bhat)
     fac_g = ZakFactorization(lattice, g_blocks)
-    g_norm = _norm(g_blocks)
+    g_norm = np.linalg.norm(g_blocks)
 
     if config.target == "tight":
         reference = unfactorize(svd_tight(fac_g))
@@ -379,76 +456,33 @@ def run(g: np.ndarray, lattice: GaborLattice, config: IterationConfig) -> Iterat
     trace = IterationTrace(config=config, lattice=lattice, reference=reference)
     unit_reference = _normalized(reference)
 
-    def record(blocks, signal):
-        """Append the diagnostics of iterand `blocks`; returns the Gram they
-        come from: A^{gamma,gamma} (tight) or A^{g,gamma} (dual)."""
+    def record(blocks, A, bounds, rel):
+        """Append the diagnostics of iterand `blocks`, observed through the
+        Gram A: A^{gamma,gamma} (tight) or A^{g,gamma} (dual)."""
+        if rel is not None:
+            trace.rel_steps.append(float(rel))
+        signal = unfactorize(ZakFactorization(lattice, blocks))
         trace.iterands.append(signal)
         trace.errors.append(float(np.linalg.norm(_normalized(signal) - unit_reference)))
-        if config.target == "tight":
-            A = _gram_blocks(blocks, blocks, lattice)
-            trace.bounds.append(frame_bounds(BlockOperator(lattice, A)))
-            scale = _norm(blocks) ** 2
-        else:
-            A = _gram_blocks(g_blocks, blocks, lattice)
-            # post-convergence divergence legitimately leaves the orbit; the
-            # departure is kept in bounds[k].max_imag_ratio, not warned about
-            trace.bounds.append(diagnostics._z_spectrum(A))
-            scale = g_norm * _norm(blocks)
+        # post-convergence divergence legitimately leaves the orbit; the
+        # departure is kept in bounds[k].max_imag_ratio, not warned about
+        trace.bounds.append(bounds)
+        norm = np.linalg.norm(blocks)
+        scale = norm ** 2 if config.target == "tight" else g_norm * norm
         # correlations are linear in A, so dividing by the norms gives the
         # dual lattice norm of the normalized iterand (and normalized g)
-        trace.dual_lattice_norms.append(
+        trace.dual_lattice_norms.append(float(
             diagnostics._off_origin_mass(diagnostics._gram_correlations(A, lattice))
-            / scale)
-        return A
+            / scale))
 
-    blocks = g_blocks
-    # at gamma_0 = g both targets' Gram is A^{g,g}, which the dual steps reuse
-    A = Agg = record(blocks, unfactorize(fac_g))
-    threshold = config.step_threshold
-    detector = _DivergenceDetector()
-    norm_scaled = config.scaling == "norm"
-
-    for _ in range(config.max_steps):
-        if config.scaling == "constant_optimal":
-            summary = trace.bounds[-1]
-            const = optimal_scaling_constant(summary.lower, summary.upper,
-                                             config.algorithm_name)
-            if config.target == "tight":
-                blocks, A = blocks / np.sqrt(const), A / const
-            else:
-                blocks = blocks / const
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            if config.inverse:
-                new = _inverse_step_blocks(blocks, A)
-            elif config.target == "tight":
-                new = _tight_step_blocks(blocks, A, config.order, norm_scaled)
-            else:
-                new = _dual_step_blocks(blocks, g_blocks, Agg, lattice,
-                                        config.order, norm_scaled)
-            new_norm = _norm(new)
-            if not np.isfinite(new_norm) or new_norm == 0.0:
-                trace.diverging = True
-                break
-            rel = _norm(new - blocks) / new_norm
-
-        trace.rel_steps.append(rel)
-        blocks = new
-        A = record(blocks, unfactorize(ZakFactorization(lattice, blocks)))
-
-        if config.stop_mode == "fixed":
-            continue
-        if rel < threshold:
-            trace.converged = True
-            break
-        if detector.update(rel):
-            trace.diverging = True
-            break
+    status = _iterate(g_blocks, config, gram, record)
+    trace.converged = status == "converged"
+    trace.diverging = status == "diverging"
 
     if not trace.converged and len(trace.iterands) >= 3:
         last, before = trace.iterands[-1], trace.iterands[-3]
         cyc = np.linalg.norm(last - before) / np.linalg.norm(last)
-        if cyc < 1e-8 and trace.rel_steps[-1] > threshold:
+        if cyc < 1e-8 and trace.rel_steps[-1] > config.step_threshold:
             trace.oscillating = True
 
     if (trace.converged or trace.diverging) and trace.errors[-1] > 1e-6:

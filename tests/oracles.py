@@ -12,6 +12,12 @@ from math import comb
 import numpy as np
 
 from gabwin import zak_extend
+from gabwin.iterations import (
+    IterationConfig,
+    dual_taylor_coeffs,
+    optimal_scaling_constant,
+    tight_taylor_coeffs,
+)
 
 
 def shift_mod(g, j, k):
@@ -206,3 +212,85 @@ def mpmath_polar_factor(block, dps=50):
         ev, Q = mpmath.eighe(phi * phi.H)
         root = Q * mpmath.diag([1 / mpmath.sqrt(e) for e in ev]) * Q.H
         return np.array((root * phi).tolist(), dtype=complex)
+
+
+# The scalar singular-value recursion with its own step rules of I-V and
+# the four scalings, written on sigma vectors directly (scalar_iteration
+# runs the block iteration loop on 1 x 1 blocks instead).
+
+def _vec_norm(x: np.ndarray) -> float:
+    return np.sqrt((x * x).sum())
+
+
+def scalar_recursion(sigmas: np.ndarray, config: IterationConfig,
+                     steps: int | None = None) -> np.ndarray:
+    """Run an iteration as a scalar recursion on singular values.
+
+    Returns the (steps+1, n) trace of sigma vectors.  Norm scaling is
+    scale-invariant in the input; for initial scaling pass raw singular
+    values (so sigma^2 is the frame-operator spectrum) and the configured
+    Bhat prescale is applied once.  Computations stay in the input dtype,
+    so longdouble input gives an extended-precision trace.
+    """
+    sig = np.array(sigmas, copy=True)
+    dtype = sig.dtype
+    steps = config.max_steps if steps is None else steps
+
+    if config.scaling == "initial":
+        if config.Bhat is None:
+            raise ValueError("initial scaling of a scalar run needs an explicit Bhat")
+        sig = sig / np.sqrt(dtype.type(config.Bhat))
+    elif config.scaling == "initial_optimal":
+        lo, hi = float((sig**2).min()), float((sig**2).max())
+        sig = sig / np.sqrt(dtype.type(
+            optimal_scaling_constant(lo, hi, config.algorithm_name)))
+
+    sig0 = sig.copy()
+    coeffs = None
+    if not config.inverse:
+        raw = (tight_taylor_coeffs(config.order) if config.target == "tight"
+               else dual_taylor_coeffs(config.order))
+        coeffs = raw.astype(dtype)
+
+    norm_scaled = config.scaling == "norm"
+    trace = [sig.copy()]
+    for _ in range(steps):
+        if config.scaling == "constant_optimal":
+            if config.target == "tight":
+                lo, hi = float((sig**2).min()), float((sig**2).max())
+                const = optimal_scaling_constant(lo, hi, config.algorithm_name)
+                sig = sig / np.sqrt(dtype.type(const))
+            else:
+                z = sig0 * sig
+                const = optimal_scaling_constant(float(np.abs(z).min()),
+                                                 float(np.abs(z).max()),
+                                                 config.algorithm_name)
+                sig = sig / dtype.type(const)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            if config.inverse:
+                t0, t1 = sig, 1.0 / sig
+                sig = 0.5 * t0 / _vec_norm(t0) + 0.5 * t1 / _vec_norm(t1)
+            elif config.target == "tight":
+                terms = [sig]
+                for _j in range(config.order - 1):
+                    terms.append(terms[-1] * sig * sig)
+                if norm_scaled:
+                    sig = sum(cf * T / _vec_norm(T) for cf, T in zip(coeffs, terms))
+                else:
+                    sig = sum(cf * T for cf, T in zip(coeffs, terms))
+            else:
+                zfac = sig0 * sig
+                terms = [sig, sig * zfac]
+                while len(terms) < config.order:
+                    terms.append(terms[-2] * zfac * zfac)
+                if norm_scaled:
+                    sig = sum(cf * T / _vec_norm(T) for cf, T in zip(coeffs, terms))
+                else:
+                    sig = sum(cf * T for cf, T in zip(coeffs, terms))
+        if not np.isfinite(sig).all():
+            # diverged; freeze the trace at the last finite iterand
+            trace.extend(trace[-1].copy() for _ in range(steps - len(trace) + 1))
+            break
+        trace.append(sig.copy())
+    return np.array(trace)

@@ -133,7 +133,13 @@ def test_experiment_sidecar(tmp_path):
     assert code == 0
     sidecar = json.loads((tmp_path / "lab.csv.json").read_text())
     assert sidecar["command"]["name"] == "scalar-lab"
-    assert "numpy" in sidecar["environment"]
+    env = sidecar["environment"]
+    assert "numpy" in env
+    # the keys of the benchmark's environment record
+    assert set(env["blas"]) == {"name", "version"} and env["blas"]["name"]
+    assert set(env["thread_env"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                      "MKL_NUM_THREADS", "BLIS_NUM_THREADS"}
+    assert len(env["cpu_affinity"]) >= 1 and env["cpu_count"] >= 1
 
 
 def test_experiment_unknown_name(tmp_path):

@@ -84,17 +84,6 @@ def test_scalar_flat_spectrum_one_step():
     assert np.allclose(trace[1], trace[1][0])
 
 
-def test_scalar_norm_matches_block_per_step(lat432, gauss432):
-    # normalized singular values of the block iterands = scalar recursion
-    cfg = IterationConfig.from_algorithm("II", stop_mode="fixed", max_steps=6)
-    trace = gw.run(gauss432, lat432, cfg)
-    sig = gw.normalized_singular_values(gauss432, lat432)
-    strace = gw.scalar_iteration(sig, cfg, steps=6)
-    for k in range(7):
-        sk = gw.normalized_singular_values(trace.iterands[k], lat432)
-        assert np.abs(np.sort(strace[k]) - np.sort(sk)).max() < 1e-10
-
-
 def test_scalar_converges_fast(lat432, gauss432):
     cfg = IterationConfig.from_algorithm("II")
     sig = gw.normalized_singular_values(gauss432, lat432)

@@ -9,7 +9,7 @@ import gabwin as gw
 from gabwin.errors import NotAFrameError
 from gabwin.iterations import EPS, IterationConfig, _DivergenceDetector, flop_estimate
 
-from oracles import taylor_inv_coeffs, taylor_inv_sqrt_coeffs
+from oracles import scalar_recursion, taylor_inv_coeffs, taylor_inv_sqrt_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -145,19 +145,98 @@ def test_initial_scaled_tight_quadratic(lat432, gauss432):
     assert ratios[-1] > 1.85
 
 
-@pytest.mark.parametrize("name", ["III", "V"])
-def test_block_matches_scalar_trace(name, lat432, gauss432):
-    cfg = IterationConfig.from_algorithm(name, stop_mode="fixed", max_steps=4)
+@pytest.fixture(scope="module")
+def sigma432(lat432, gauss432):
+    return gw.normalized_singular_values(gauss432, lat432)
+
+
+_ALL_CONFIGS = [("I", "norm")] + [
+    (name, scaling) for name in ("II", "III", "IV", "V")
+    for scaling in ("norm", "initial", "initial_optimal", "constant_optimal")]
+
+
+@pytest.mark.parametrize("name,scaling,steps", [
+    *((name, scaling, 4) for name, scaling in _ALL_CONFIGS), ("II", "norm", 6)],
+    ids=[*(name if scaling == "norm" else f"{name}-{scaling}"
+           for name, scaling in _ALL_CONFIGS), "II-norm-6"])
+def test_block_matches_scalar_trace(name, scaling, steps, lat432, gauss432, sigma432):
+    # the singular values of the block iterands follow the scalar recursion;
+    # norm scaling is scale-free, the others run on raw sigma (sigma^2 is
+    # the frame-operator spectrum) with the block run's explicit Bhat
+    Bhat = gw.upper_frame_bound_estimate(gauss432, lat432) if scaling == "initial" else None
+    cfg = IterationConfig.from_algorithm(name, scaling=scaling, Bhat=Bhat,
+                                         stop_mode="fixed", max_steps=steps)
     trace = gw.run(gauss432, lat432, cfg)
-    sig = gw.normalized_singular_values(gauss432, lat432)
-    strace = gw.scalar_iteration(sig, cfg, steps=4)
-    for k in range(5):
-        sk = gw.normalized_singular_values(trace.iterands[k], lat432)
-        assert np.abs(np.sort(strace[k]) - np.sort(sk)).max() < 1e-9
+    unit = 1.0 if scaling == "norm" else np.sqrt(lat432.M * lat432.N)
+    strace = gw.scalar_iteration(sigma432 * unit, cfg, steps=steps)
+    assert strace.shape == (steps + 1, lat432.L)
+    for k in range(steps + 1):
+        # the singular values of O_gamma: the roots of the frame-operator
+        # block eigenvalues, each q times (the dense SVD gives the same)
+        F = gw.factorize(trace.iterands[k], lat432)
+        ev = np.linalg.eigvalsh(gw.block_gram(F, F).blocks).ravel()
+        sk = np.sort(np.repeat(np.sqrt(ev), lat432.q)) * unit / np.sqrt(lat432.M * lat432.N)
+        # measured at most 4.7e-14 relative (IV, initial_optimal)
+        assert (np.abs(np.sort(np.abs(strace[k])) - sk).max()
+                < 2e-13 * np.abs(strace[k]).max())
+
+
+# The loop and the recursion differ in the order of the products in a term
+# (sigma^2 sigma against sigma sigma sigma) and in the norms: np.linalg.norm
+# is a dot product, a sequential sum in longdouble, which at the flat limit
+# of 432 equal squares errs by 15 eps where the oracle's pairwise sum does
+# not.  Norm scaling divides every Taylor term by such a norm, so a step may
+# differ by sum |c_j| times that (up to 7 x 15 eps).  Measured over 12 steps
+# at (432,18,18) and (240,12,10): at most 5.6 eps without norm scaling, and
+# with it 9.7 eps in float64 and 47 eps in longdouble.
+_ORACLE_EPS = {"norm": {np.float64: 16, np.longdouble: 64}}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("name,scaling", _ALL_CONFIGS)
+def test_scalar_iteration_matches_recursion_oracle(name, scaling, dtype, lat432, gauss432,
+                                                   sigma432):
+    Bhat = gw.upper_frame_bound_estimate(gauss432, lat432) if scaling == "initial" else None
+    cfg = IterationConfig.from_algorithm(name, scaling=scaling, Bhat=Bhat)
+    unit = 1.0 if scaling == "norm" else np.sqrt(lat432.M * lat432.N)
+    sig = (sigma432 * unit).astype(dtype)
+    got = gw.scalar_iteration(sig, cfg, steps=12)
+    want = scalar_recursion(sig, cfg, steps=12)
+    assert got.dtype == dtype and got.shape == want.shape == (13, len(sig))
+    bound = _ORACLE_EPS.get(scaling, {}).get(dtype, 8) * np.finfo(dtype).eps
+    assert (np.abs(got - want).max(axis=1) <= bound * np.abs(want).max(axis=1)).all()
+
+
+def test_scalar_iteration_freezes_a_diverging_run(lat432, sigma432):
+    # Bhat = B / 6 puts sigma up to 6^(1/2), beyond 5^(1/2), where
+    # II's map sigma (3 - sigma^2) / 2 starts to grow |sigma|
+    sig = sigma432 * np.sqrt(lat432.M * lat432.N)
+    cfg = IterationConfig.from_algorithm("II", scaling="initial",
+                                         Bhat=float((sig ** 2).max()) / 6)
+    trace = gw.scalar_iteration(sig, cfg, steps=20)
+    assert trace.shape == (21, len(sig)) and np.isfinite(trace).all()
+    frozen = [k for k in range(1, 21) if np.array_equal(trace[k], trace[k - 1])]
+    assert frozen == list(range(frozen[0], 21)) and np.abs(trace[-1]).max() > 1e90
+    # up to the freeze it is the recursion; the loop stops one step before
+    # the oracle here, at the first iterand whose norm overflows
+    want = scalar_recursion(sig, cfg, steps=20)
+    assert np.allclose(trace[:frozen[0]], want[:frozen[0]], rtol=1e-14, atol=0)
 
 
 # ---------------------------------------------------------------------------
 # Full runs
+
+@pytest.mark.parametrize("L,a,b,name", [(8640, 72, 80, "II"), (432, 18, 18, "II"),
+                                        (432, 18, 18, "IV")])
+def test_run_rejects_window_whose_squared_norm_underflows(L, a, b, name):
+    # ||g||^2 underflows, so no step, bound or dual lattice norm of g means
+    # anything: a named error, not a division by zero, an empty trace or an
+    # overflow warning
+    lt = gw.derive_lattice(L, a, b)
+    g = 1e-160 * gw.gaussian_window(L).astype(complex)
+    with pytest.raises(ValueError, match="window norm too small"):
+        gw.run(g, lt, IterationConfig.from_algorithm(name))
+
 
 def test_stopping_thresholds():
     assert EPS == 2.220446049250313e-16
