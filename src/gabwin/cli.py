@@ -10,7 +10,6 @@ fixed flags; floats are written with 17 significant digits.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import platform
@@ -259,8 +258,7 @@ _W_SWEEP = (1/8, 1/7, 1/6, 1/5, 1/4, 1/3, 1/2, 2/3, 1.0, 1.5, 2.0, 3.0, 4.0,
             5.0, 6.0, 7.0, 8.0)
 
 
-def _precision_item(spec):
-    lattice, w = spec
+def _precision_item(lattice, w):
     g = gaussian_window(lattice.L, w).astype(complex)
     fac = factorize(g, lattice)
     summary = _frame_bounds(fac)
@@ -274,14 +272,12 @@ def _precision_item(spec):
 
 
 def exp_precision(args, lattice, g):
-    with concurrent.futures.ThreadPoolExecutor() as pool:
-        rows = list(pool.map(_precision_item, [(lattice, w) for w in _W_SWEEP]))
+    rows = [_precision_item(lattice, w) for w in _W_SWEEP]
     return ["w", "frame_bound_ratio", "eig_err", "svd_err", "iter_err",
             "iter_steps"], rows
 
 
-def _numits_item(spec):
-    lattice, w = spec
+def _numits_item(lattice, w):
     g = gaussian_window(lattice.L, w).astype(complex)
     Bhat = upper_frame_bound_estimate(g, lattice)
     ratio = _frame_bounds(factorize(g, lattice)).ratio
@@ -295,14 +291,12 @@ def _numits_item(spec):
 
 
 def exp_iterations_vs_ratio(args, lattice, g):
-    with concurrent.futures.ThreadPoolExecutor() as pool:
-        rows = list(pool.map(_numits_item, [(lattice, w) for w in _W_SWEEP]))
+    rows = [_numits_item(lattice, w) for w in _W_SWEEP]
     return ["w", "frame_bound_ratio", "steps_I", "steps_II", "steps_III",
             "steps_IV", "steps_V"], rows
 
 
-def _scaling_sweep_item(spec):
-    lattice, g, B_best, target, b_scaled = spec
+def _scaling_sweep_item(lattice, g, B_best, target, b_scaled):
     row = [b_scaled]
     for order in (2, 3):
         config = IterationConfig(target=target, order=order, scaling="initial",
@@ -323,9 +317,8 @@ def exp_scaling_sweep(args, lattice, g):
     summary = _frame_bounds(factorize(g, lattice))
     upper = 5.3 if args.target == "tight" else 2.9
     grid = np.round(np.arange(0.1, upper + 1e-9, 0.2), 10)
-    specs = [(lattice, g, summary.upper, args.target, b) for b in grid]
-    with concurrent.futures.ThreadPoolExecutor() as pool:
-        rows = list(pool.map(_scaling_sweep_item, specs))
+    rows = [_scaling_sweep_item(lattice, g, summary.upper, args.target, b)
+            for b in grid]
     header = ["B_scaled", "steps_m2", "flag_m2", "steps_m3", "flag_m3"]
     return header, rows
 
@@ -349,8 +342,7 @@ def tune_width_to_ratio(lattice: GaborLattice, target_ratio: float,
     return 0.5 * (lo + hi)
 
 
-def _fibonacci_item(spec):
-    pp, qq, L, a, b, target_ratio = spec
+def _fibonacci_item(pp, qq, L, a, b, target_ratio):
     lattice = derive_lattice(L, a, b)
     assert (lattice.p, lattice.q) == (pp, qq)
     w = tune_width_to_ratio(lattice, target_ratio)
@@ -364,9 +356,7 @@ def _fibonacci_item(spec):
 
 
 def exp_fibonacci(args, lattice, g):
-    specs = [f + (args.ratio,) for f in _FIBONACCI]
-    with concurrent.futures.ThreadPoolExecutor() as pool:
-        rows = list(pool.map(_fibonacci_item, specs))
+    rows = [_fibonacci_item(*f, args.ratio) for f in _FIBONACCI]
     return ["p", "q", "L", "a", "b", "w", "frame_bound_ratio",
             "steps_I", "steps_II", "steps_IV"], rows
 

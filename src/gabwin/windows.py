@@ -3,16 +3,18 @@ frame-breaking MONSTER window.
 
 The Gaussian and sech windows are sampled at l / sqrt(L) and periodized
 with period sqrt(L); both families are unit-norm and map to themselves
-under the unitary DFT with w -> 1/w.
+under the unitary DFT with w -> 1/w.  The MONSTER window is built on the
+Zak block factorization, from the eigenpairs of the Gaussian's Gram
+blocks, so it has no dense frame operator and no limit on L.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dense import synthesis_matrix
 from .errors import NotAFrameError
 from .lattice import GaborLattice
+from .zak import ZakFactorization, block_gram, factorize, unfactorize
 
 __all__ = ["gaussian_window", "sech_window", "monster_window"]
 
@@ -75,49 +77,49 @@ def _symmetry_score(v: np.ndarray) -> float:
 def monster_window(lattice: GaborLattice, sigma_real: float = 6.0) -> np.ndarray:
     """Gaussian with one symmetric-eigenvector singular value inflated.
 
-    Picks the frame-operator eigenvector (or, for a degenerate eigenvalue,
-    the normalized projection of the Gaussian onto the eigenspace) that is
-    real and even with the largest eigenvalue, and modifies the window so
-    that the corresponding synthesis-matrix singular value becomes exactly
-    ``sigma_real`` while all others are untouched.  Note every eigenvalue
-    of a frame operator on this lattice has multiplicity >= q, so the
-    modification applies to the whole eigengroup.
+    The frame operator S of the Gaussian is block-diagonal on the Zak
+    factorization G: one batched eigh of the c x d Gram blocks gives its
+    spectrum, and each block eigenpair (lam, u) spans a q-dimensional
+    eigenspace of S, so every eigenvalue has multiplicity >= q.  Block
+    eigenvalues within 1e-10 lam_max of their neighbour form one group; the
+    projection of the Gaussian onto a group's eigenspace is the
+    unfactorized U (mask U* G).  Walking the groups from the top, the first
+    projection that is nonzero and real and even up to a global phase
+    gives the direction v; the window is modified along v so that the
+    whole group's synthesis-matrix singular value becomes exactly
+    ``sigma_real`` while all others are untouched.
     """
+    if not (np.isfinite(sigma_real) and sigma_real > 0):
+        raise ValueError("monster singular value must be positive and finite, "
+                         f"got {sigma_real}")
     g = gaussian_window(lattice.L).astype(complex)
-    S = synthesis_matrix(g, lattice).frame_operator()
-    lam, vecs = np.linalg.eigh(S)
-    if lam.min() <= 1e-13 * lam.max():
+    G = factorize(g, lattice)
+    lam, U = np.linalg.eigh(block_gram(G, G).blocks)
+    ordered = np.sort(lam, axis=None)
+    if ordered[0] <= 1e-13 * ordered[-1]:
         raise NotAFrameError("Gaussian system on this lattice is not a frame")
 
     # group numerically equal eigenvalues (relative tolerance 1e-10)
-    groups = []
-    start = 0
-    for i in range(1, lattice.L + 1):
-        if i == lattice.L or lam[i] - lam[i - 1] > 1e-10 * lam[-1]:
-            groups.append((start, i))
-            start = i
-
-    chosen = None
-    for i0, i1 in groups:
-        if i1 - i0 == 1:
-            v = _remove_phase(vecs[:, i0])
-        else:
-            proj = vecs[:, i0:i1] @ (vecs[:, i0:i1].conj().T @ g)
-            nrm = np.linalg.norm(proj)
-            if nrm < 1e-8:
-                continue
-            v = _remove_phase(proj / nrm)
-        if _symmetry_score(v) > 0.99 and (chosen is None or lam[i1 - 1] > chosen[0]):
-            chosen = (lam[i1 - 1], v)
-
-    if chosen is None:
+    tops = np.append(np.flatnonzero(np.diff(ordered) > 1e-10 * ordered[-1]),
+                     len(ordered) - 1)
+    bottoms = np.append(0, tops[:-1] + 1)
+    coeffs = np.swapaxes(U.conj(), -1, -2) @ G.blocks
+    for lo, hi in zip(ordered[bottoms[::-1]], ordered[tops[::-1]]):
+        mask = (lam >= lo) & (lam <= hi)
+        proj = unfactorize(ZakFactorization(lattice, U @ (mask[..., None] * coeffs)))
+        nrm = np.linalg.norm(proj)
+        if nrm < 1e-8:
+            continue
+        v = _remove_phase(proj / nrm)
+        if _symmetry_score(v) > 0.99:
+            break
+    else:
         raise ValueError("no sufficiently real and symmetric eigenvector found")
 
-    eigval, v = chosen
     v = np.real(v)
     v /= np.linalg.norm(v)
     if v[np.argmax(np.abs(v))] < 0:
         v = -v
-    sigma_j = np.sqrt(eigval)
+    sigma_j = np.sqrt(hi)
     lam_coef = sigma_real / sigma_j - 1.0
     return np.real(g + lam_coef * np.dot(v, np.real(g)) * v)

@@ -11,13 +11,14 @@ from math import comb
 
 import numpy as np
 
-from gabwin import zak_extend
+from gabwin import NotAFrameError, gaussian_window, synthesis_matrix, zak_extend
 from gabwin.iterations import (
     IterationConfig,
     dual_taylor_coeffs,
     optimal_scaling_constant,
     tight_taylor_coeffs,
 )
+from gabwin.windows import _remove_phase, _symmetry_score
 
 
 def shift_mod(g, j, k):
@@ -294,3 +295,47 @@ def scalar_recursion(sigmas: np.ndarray, config: IterationConfig,
             break
         trace.append(sig.copy())
     return np.array(trace)
+
+
+def dense_monster_window(lattice, sigma_real=6.0):
+    """The MONSTER window from the dense frame operator: its eigh on C^L,
+    eigenvalues grouped at 1e-10 lam_max, the top real and even projection
+    of the Gaussian inflated to sigma_real (L <= 2048, the dense guard)."""
+    g = gaussian_window(lattice.L).astype(complex)
+    S = synthesis_matrix(g, lattice).frame_operator()
+    lam, vecs = np.linalg.eigh(S)
+    if lam.min() <= 1e-13 * lam.max():
+        raise NotAFrameError("Gaussian system on this lattice is not a frame")
+
+    # group numerically equal eigenvalues (relative tolerance 1e-10)
+    groups = []
+    start = 0
+    for i in range(1, lattice.L + 1):
+        if i == lattice.L or lam[i] - lam[i - 1] > 1e-10 * lam[-1]:
+            groups.append((start, i))
+            start = i
+
+    chosen = None
+    for i0, i1 in groups:
+        if i1 - i0 == 1:
+            v = _remove_phase(vecs[:, i0])
+        else:
+            proj = vecs[:, i0:i1] @ (vecs[:, i0:i1].conj().T @ g)
+            nrm = np.linalg.norm(proj)
+            if nrm < 1e-8:
+                continue
+            v = _remove_phase(proj / nrm)
+        if _symmetry_score(v) > 0.99 and (chosen is None or lam[i1 - 1] > chosen[0]):
+            chosen = (lam[i1 - 1], v)
+
+    if chosen is None:
+        raise ValueError("no sufficiently real and symmetric eigenvector found")
+
+    eigval, v = chosen
+    v = np.real(v)
+    v /= np.linalg.norm(v)
+    if v[np.argmax(np.abs(v))] < 0:
+        v = -v
+    sigma_j = np.sqrt(eigval)
+    lam_coef = sigma_real / sigma_j - 1.0
+    return np.real(g + lam_coef * np.dot(v, np.real(g)) * v)

@@ -77,6 +77,24 @@ def test_divergence_exit_code(tmp_path):
     assert report["result"]["dual_lattice_norm"] > 0.1
 
 
+@pytest.mark.parametrize("sigma", ["-6", "0"])
+def test_monster_bad_singular_value_exit_code(tmp_path, capsys, sigma):
+    code = run_cli("canonical", "--L", 600, "--a", 20, "--b", 20,
+                   "--window", f"monster:{sigma}", "--method", "svd",
+                   "--out", tmp_path / "mon")
+    assert code == 1
+    assert "positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "mon.window").exists()
+
+
+def test_monster_above_dense_limit(tmp_path):
+    code = run_cli("canonical", "--L", 8640, "--a", 72, "--b", 80,
+                   "--window", "monster:6", "--method", "svd",
+                   "--out", tmp_path / "mon")
+    assert code == 0
+    assert (tmp_path / "mon.window").stat().st_size == 8 * 8640
+
+
 def test_step_budget_exit_code(tmp_path):
     # a run that stops neither converged nor diverging writes its window
     # and report, but must not exit 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gabwin as gw
+from oracles import dense_monster_window
 
 
 def unitary_dft(x):
@@ -89,3 +90,45 @@ def test_monster_requires_frame():
     lt = gw.derive_lattice(16, 4, 4)
     with pytest.raises(gw.NotAFrameError):
         gw.monster_window(lt, 6.0)
+
+
+@pytest.mark.parametrize("dims", [(600, 20, 20), (432, 18, 18), (216, 12, 12),
+                                  (240, 12, 10)])
+def test_monster_matches_dense_oracle(dims):
+    lattice = gw.derive_lattice(*dims)
+    got = gw.monster_window(lattice, 6.0)
+    assert np.abs(got - dense_monster_window(lattice, 6.0)).max() < 1e-12
+
+
+def _block_spectrum(w, lattice):
+    fac = gw.factorize(w, lattice)
+    return np.sort(np.linalg.eigvalsh(gw.block_gram(fac, fac).blocks), axis=None)
+
+
+@pytest.mark.parametrize("dims", [(8640, 72, 80), (61440, 240, 192)])
+def test_monster_above_dense_limit(dims):
+    lattice = gw.derive_lattice(*dims)
+    assert lattice.L > gw.dense.DENSE_SIZE_GUARD
+    w = gw.monster_window(lattice, 6.0)
+    assert np.isrealobj(w)
+    assert np.abs(w - w[(-np.arange(lattice.L)) % lattice.L]).max() < 1e-12
+    # each block eigenvalue is a q-fold eigenvalue of S, so S has q k
+    # eigenvalues 6^2: k block eigenvalues, one whole group of the
+    # Gaussian's, move to 6^2 and all the others stay the Gaussian's
+    ev_g = _block_spectrum(gw.gaussian_window(lattice.L), lattice)
+    ev_w = _block_spectrum(w, lattice)
+    moved = np.abs(ev_w - 36.0) <= 1e-9 * 36.0
+    k = int(moved.sum())
+    assert k >= 1
+    tol = 1e-10 * ev_g[-1]
+    gaps = np.diff(ev_g, prepend=-np.inf, append=np.inf)
+    assert any(gaps[i] > tol and gaps[i + k] > tol
+               and np.ptp(ev_g[i:i + k]) <= tol
+               and np.abs(np.delete(ev_g, np.s_[i:i + k]) - ev_w[~moved]).max() <= tol
+               for i in range(len(ev_g) - k + 1))
+
+
+@pytest.mark.parametrize("sigma", [-6.0, 0.0, np.nan, np.inf])
+def test_monster_rejects_bad_singular_value(lat600, sigma):
+    with pytest.raises(ValueError, match="positive and finite"):
+        gw.monster_window(lat600, sigma)
