@@ -142,7 +142,7 @@ def cmd_canonical(args: argparse.Namespace) -> int:
         config = IterationConfig.from_algorithm(
             name, scaling=args.scaling.replace("-", "_"), Bhat=args.Bhat,
             max_steps=args.steps,
-            stop_mode="tol" if args.tol else "auto", tol=args.tol)
+            stop_mode="tol" if args.tol is not None else "auto", tol=args.tol)
         if config.target != args.target:
             raise ValueError(
                 f"algorithm {name} computes the {config.target} window, "

@@ -117,8 +117,6 @@ def scalar_iteration(sigmas: np.ndarray, config: IterationConfig,
     config = replace(config, stop_mode="fixed", max_steps=steps)
     sig = _prescale(np.asarray(sigmas).reshape(-1, 1, 1, 1), config, _scalar_gram,
                     config.Bhat)
-    trace = []
-    if _iterate(sig, config, _scalar_gram,
-                lambda blocks, *_: trace.append(blocks.reshape(-1))) == "diverging":
-        trace.extend(trace[-1:] * (steps + 1 - len(trace)))
-    return np.array(trace)
+    # fixed steps stop early only on divergence: freeze at the last iterand
+    trace = [blocks.reshape(-1) for blocks in _iterate(sig, config, _scalar_gram)[0]]
+    return np.array(trace + trace[-1:] * (steps + 1 - len(trace)))

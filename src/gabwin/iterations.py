@@ -14,15 +14,16 @@ Powers of Z_k never require a square root thanks to
 Z^(2r) gamma = (S S_k)^r gamma and Z^(2r+1) gamma = (S S_k)^r S_k g.
 
 One loop (_iterate, after _prescale) holds the step rules, the scalings and
-the stopping rule; run() observes its iterands, dense.scalar_iteration runs
-it on 1 x 1 blocks of singular values.  Norms stay in the input dtype.
+the stopping rule and returns the iterands' blocks; run() builds its trace
+from them, dense.scalar_iteration runs the loop on 1 x 1 blocks of singular
+values.  Norms stay in the input dtype.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -192,8 +193,12 @@ class IterationConfig:
                 raise ValueError("algorithm I supports norm scaling only")
         elif self.order < 2:
             raise ValueError("polynomial iterations need order >= 2")
-        if self.stop_mode == "tol" and not self.tol:
+        if self.stop_mode == "tol" and self.tol is None:
             raise ValueError("stop_mode 'tol' needs a tolerance")
+        if self.tol is not None and not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if self.max_steps < 0:
+            raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
         if self.Bhat is not None and self.Bhat <= 0:
             raise ValueError("Bhat must be positive")
 
@@ -286,22 +291,25 @@ def step_frame_inverse(fac: ZakFactorization) -> ZakFactorization:
 
 @dataclass
 class IterationTrace:
-    """Per-step record of a run.
+    """Record of a run, which keeps the blocks of every iterand.
 
-    ``iterands[k]`` is gamma_k as a signal; ``rel_steps[k]`` is
-    ||gamma_{k+1} - gamma_k|| / ||gamma_{k+1}||; ``errors[k]`` is the
-    normalized-window distance to the reference; ``bounds[k]`` holds
-    (A_k, B_k) for tight targets and the Z-bounds (E_k, F_k) for dual ones.
+    ``blocks[k]`` holds the Zak blocks of gamma_k (gamma_0 is the
+    prescaled window g).  Computed by run(): ``iterands[k]``, gamma_k as a
+    signal; ``rel_steps[k]``, ||gamma_{k+1} - gamma_k|| / ||gamma_{k+1}||;
+    ``errors[k]``, the normalized-window distance to the reference; and the
+    four flags.  Computed from the blocks when first read: ``bounds[k]``,
+    (A_k, B_k) for tight targets and the Z-bounds (E_k, F_k) for dual ones,
+    and ``dual_lattice_norms[k]``, that of the normalized gamma_k (against
+    the normalized g for dual targets).
     """
 
     config: IterationConfig
     lattice: GaborLattice
     reference: np.ndarray
-    iterands: list = field(default_factory=list)
-    rel_steps: list = field(default_factory=list)
-    errors: list = field(default_factory=list)
-    dual_lattice_norms: list = field(default_factory=list)
-    bounds: list = field(default_factory=list)
+    blocks: list
+    iterands: list
+    rel_steps: list
+    errors: list
     converged: bool = False
     diverging: bool = False
     oscillating: bool = False
@@ -314,6 +322,29 @@ class IterationTrace:
     @property
     def final(self) -> np.ndarray:
         return self.iterands[-1]
+
+    def _grams(self):
+        """A^{gamma,gamma} (tight) or A^{g,gamma} (dual) of every iterand."""
+        g, tight = self.blocks[0], self.config.target == "tight"
+        return (_gram_blocks(b if tight else g, b, self.lattice) for b in self.blocks)
+
+    @cached_property
+    def bounds(self) -> list:
+        # post-convergence divergence legitimately leaves the orbit; the
+        # departure is kept in bounds[k].max_imag_ratio, not warned about
+        return [_spectrum(A, self.config.target) for A in self._grams()]
+
+    @cached_property
+    def dual_lattice_norms(self) -> list:
+        g_norm, norms = np.linalg.norm(self.blocks[0]), []
+        for blocks, A in zip(self.blocks, self._grams()):
+            norm = np.linalg.norm(blocks)
+            scale = norm ** 2 if self.config.target == "tight" else g_norm * norm
+            # correlations are linear in A, so dividing by the norms gives the
+            # dual lattice norm of the normalized iterand (and normalized g)
+            norms.append(float(diagnostics._off_origin_mass(
+                diagnostics._gram_correlations(A, self.lattice)) / scale))
+        return norms
 
 
 def _normalized(x: np.ndarray) -> np.ndarray:
@@ -378,33 +409,26 @@ def _prescale(g_blocks: np.ndarray, config: IterationConfig, gram, Bhat) -> np.n
     return g_blocks
 
 
-def _iterate(g_blocks: np.ndarray, config: IterationConfig, gram, observe) -> str | None:
+def _iterate(g_blocks: np.ndarray, config: IterationConfig, gram):
     """Iterate from the (prescaled) window g_blocks to the stopping rule.
 
-    gram(X, Y) gives the Gram blocks of X and Y.  Every iterand is observed
-    once, through A^{gamma,gamma} (tight; the next step reuses it) or
-    A^{g,gamma} (dual) and that Gram's spectrum, which constant_optimal
-    reads: observe(blocks, A, bounds, rel) gets them with the relative step
-    that led to the iterand (None for gamma_0 = g).  Returns "converged",
-    "diverging" or None when the step budget is used up.
+    gram(X, Y) gives the Gram blocks of X and Y.  A tight step reuses the
+    Gram A^{gamma,gamma} of its iterand, a dual step builds its own and
+    reuses A^{g,g}.  Only constant_optimal reads a spectrum, that of
+    A^{gamma,gamma} (tight) or A^{g,gamma} (dual).  Returns the blocks of
+    every iterand (g_blocks first), the relative steps that led to them, and
+    "converged", "diverging" or None when the step budget is used up.
     """
     real = np.finfo(g_blocks.dtype).dtype.type
     tight = config.target == "tight"
     norm_scaled = config.scaling == "norm"
     detector = _DivergenceDetector()
-
-    def observed(blocks, rel):
-        A = gram(blocks, blocks) if tight else gram(g_blocks, blocks)
-        bounds = _spectrum(A, config.target)
-        observe(blocks, A, bounds, rel)
-        return A, bounds
-
-    blocks = g_blocks
-    # at gamma_0 = g both targets' Gram is A^{g,g}, which the dual steps reuse
-    A, bounds = observed(blocks, None)
-    Agg = A
+    blocks, iterands, rel_steps = g_blocks, [g_blocks], []
+    Agg = None if tight else gram(g_blocks, g_blocks)
     for _ in range(config.max_steps):
+        A = gram(blocks, blocks) if tight else None
         if config.scaling == "constant_optimal":
+            bounds = _spectrum(A if tight else gram(g_blocks, blocks), config.target)
             const = real(optimal_scaling_constant(bounds.lower, bounds.upper,
                                                   config.algorithm_name))
             if tight:
@@ -422,72 +446,46 @@ def _iterate(g_blocks: np.ndarray, config: IterationConfig, gram, observe) -> st
                                         norm_scaled)
             new_norm = np.linalg.norm(new)
             if not np.isfinite(new_norm) or new_norm == 0.0:
-                return "diverging"
+                return iterands, rel_steps, "diverging"
             rel = np.linalg.norm(new - blocks) / new_norm
 
         blocks = new
-        A, bounds = observed(blocks, rel)
+        iterands.append(blocks)
+        rel_steps.append(float(rel))
         if config.stop_mode == "fixed":
             continue
         if rel < config.step_threshold:
-            return "converged"
+            return iterands, rel_steps, "converged"
         if detector.update(rel):
-            return "diverging"
-    return None
+            return iterands, rel_steps, "diverging"
+    return iterands, rel_steps, None
 
 
 def run(g: np.ndarray, lattice: GaborLattice, config: IterationConfig) -> IterationTrace:
-    """Run an iteration to the configured stopping rule, recording
-    diagnostics at every step."""
+    """Run an iteration to the configured stopping rule and record it."""
     fac0 = factorize(g, lattice)
     gram = partial(_gram_blocks, lattice=lattice)
     Bhat = config.Bhat
     if config.scaling == "initial" and Bhat is None:
         Bhat = _upper_frame_bound(gram(fac0.blocks, fac0.blocks), lattice)
     g_blocks = _prescale(fac0.blocks, config, gram, Bhat)
-    fac_g = ZakFactorization(lattice, g_blocks)
-    g_norm = np.linalg.norm(g_blocks)
+    solve = svd_tight if config.target == "tight" else inv_dual
+    reference = unfactorize(solve(ZakFactorization(lattice, g_blocks)))
 
-    if config.target == "tight":
-        reference = unfactorize(svd_tight(fac_g))
-    else:
-        reference = unfactorize(inv_dual(fac_g))
-
-    trace = IterationTrace(config=config, lattice=lattice, reference=reference)
+    blocks, rel_steps, status = _iterate(g_blocks, config, gram)
+    iterands = [unfactorize(ZakFactorization(lattice, b)) for b in blocks]
     unit_reference = _normalized(reference)
-
-    def record(blocks, A, bounds, rel):
-        """Append the diagnostics of iterand `blocks`, observed through the
-        Gram A: A^{gamma,gamma} (tight) or A^{g,gamma} (dual)."""
-        if rel is not None:
-            trace.rel_steps.append(float(rel))
-        signal = unfactorize(ZakFactorization(lattice, blocks))
-        trace.iterands.append(signal)
-        trace.errors.append(float(np.linalg.norm(_normalized(signal) - unit_reference)))
-        # post-convergence divergence legitimately leaves the orbit; the
-        # departure is kept in bounds[k].max_imag_ratio, not warned about
-        trace.bounds.append(bounds)
-        norm = np.linalg.norm(blocks)
-        scale = norm ** 2 if config.target == "tight" else g_norm * norm
-        # correlations are linear in A, so dividing by the norms gives the
-        # dual lattice norm of the normalized iterand (and normalized g)
-        trace.dual_lattice_norms.append(float(
-            diagnostics._off_origin_mass(diagnostics._gram_correlations(A, lattice))
-            / scale))
-
-    status = _iterate(g_blocks, config, gram, record)
-    trace.converged = status == "converged"
-    trace.diverging = status == "diverging"
-
-    if not trace.converged and len(trace.iterands) >= 3:
-        last, before = trace.iterands[-1], trace.iterands[-3]
-        cyc = np.linalg.norm(last - before) / np.linalg.norm(last)
-        if cyc < 1e-8 and trace.rel_steps[-1] > config.step_threshold:
-            trace.oscillating = True
-
-    if (trace.converged or trace.diverging) and trace.errors[-1] > 1e-6:
-        trace.wrong_limit = True
-    return trace
+    errors = [float(np.linalg.norm(_normalized(x) - unit_reference)) for x in iterands]
+    converged, diverging = status == "converged", status == "diverging"
+    oscillating = False
+    if not converged and len(blocks) >= 3:
+        # the factorization is unitary: the blocks' distances are the signals'
+        cyc = np.linalg.norm(blocks[-1] - blocks[-3]) / np.linalg.norm(blocks[-1])
+        oscillating = bool(cyc < 1e-8 and rel_steps[-1] > config.step_threshold)
+    return IterationTrace(
+        config, lattice, reference, blocks, iterands, rel_steps, errors,
+        converged, diverging, oscillating,
+        wrong_limit=(converged or diverging) and errors[-1] > 1e-6)
 
 
 # ---------------------------------------------------------------------------

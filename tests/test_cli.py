@@ -108,6 +108,17 @@ def test_step_budget_exit_code(tmp_path):
     assert (tmp_path / "budget.window").stat().st_size == 8 * 432
 
 
+@pytest.mark.parametrize("option", [("--tol", 0), ("--tol", -1), ("--tol", "nan"),
+                                    ("--steps", -3)])
+def test_bad_step_budget_or_tolerance_exit_code(tmp_path, capsys, option):
+    # a tolerance or step budget no run can use is an input error, caught
+    # before any window is written
+    code = run_cli("canonical", "--method", "iter:II", *option, "--out", tmp_path / "x")
+    assert code == 1
+    assert "must be" in capsys.readouterr().err
+    assert not (tmp_path / "x.window").exists()
+
+
 def test_seed_option_removed(tmp_path):
     with pytest.raises(SystemExit):
         run_cli("canonical", "--seed", 5, "--out", tmp_path / "x")

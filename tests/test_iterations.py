@@ -263,6 +263,16 @@ def test_config_validation():
     assert IterationConfig(target="dual", order=4).algorithm_name == "dual-m4"
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"max_steps": -3}, {"stop_mode": "tol", "tol": 0.0},
+    {"stop_mode": "tol", "tol": -1.0}, {"stop_mode": "tol", "tol": float("nan")},
+    {"stop_mode": "tol", "tol": float("inf")}, {"tol": -1.0}, {"stop_mode": "tol"}],
+    ids=["steps-3", "tol0", "tol-1", "tol-nan", "tol-inf", "auto-tol-1", "tol-none"])
+def test_config_rejects_bad_step_budget_and_tolerance(kwargs):
+    with pytest.raises(ValueError):
+        IterationConfig.from_algorithm("II", **kwargs)
+
+
 def test_run_II_converges_fast(lat432, gauss432, ref_tight432):
     trace = gw.run(gauss432, lat432, IterationConfig.from_algorithm("II"))
     assert trace.converged and trace.steps_taken <= 7
@@ -421,10 +431,11 @@ def test_dual_trace_z_bounds_start_at_frame_bounds(lat432, gauss432):
 
 @pytest.mark.parametrize("name,scaling", [
     ("I", "norm"), ("II", "norm"), ("III", "norm"), ("IV", "norm"), ("V", "norm"),
-    ("II", "constant_optimal"), ("V", "constant_optimal")])
+    ("II", "constant_optimal"), ("V", "constant_optimal"), ("IV", "constant_optimal"),
+    ("III", "initial"), ("IV", "initial_optimal")])
 def test_recorded_diagnostics_match_signal_level(name, scaling, lat432, gauss432):
-    # run() observes each iterand through the Gram blocks it already holds;
-    # the public signal-level functions must give the same numbers
+    # the trace derives each iterand's diagnostics from its kept blocks; the
+    # public signal-level functions must give the same numbers
     config = IterationConfig.from_algorithm(name, scaling=scaling)
     trace = gw.run(gauss432, lat432, config)
     g = trace.iterands[0]
@@ -441,6 +452,39 @@ def test_recorded_diagnostics_match_signal_level(name, scaling, lat432, gauss432
         assert trace.dual_lattice_norms[k] == pytest.approx(dln, rel=1e-12, abs=1e-13)
         assert trace.bounds[k].lower == pytest.approx(bounds.lower, rel=1e-12, abs=1e-13)
         assert trace.bounds[k].upper == pytest.approx(bounds.upper, rel=1e-12, abs=1e-13)
+
+
+@pytest.mark.parametrize("name", ["II", "IV"])
+def test_run_computes_no_unread_diagnostics(name, monkeypatch, lat432, gauss432):
+    # under norm scaling neither the loop nor the fields run() fills need a
+    # spectrum or adjoint correlations; bounds and dual lattice norms are
+    # computed from the kept blocks when read
+    def refuse(*args):
+        raise RuntimeError("unread diagnostic computed")
+
+    monkeypatch.setattr("gabwin.diagnostics._gram_correlations", refuse)
+    monkeypatch.setattr("gabwin.iterations._spectrum", refuse)
+    trace = gw.run(gauss432, lat432, IterationConfig.from_algorithm(name))
+    assert trace.steps_taken > 0 and trace.final.shape == (432,)
+    assert trace.errors[-1] < 1e-10 and not trace.wrong_limit
+    for field in ("bounds", "dual_lattice_norms"):
+        with pytest.raises(RuntimeError, match="unread diagnostic"):
+            getattr(trace, field)
+    monkeypatch.undo()
+    assert len(trace.bounds) == len(trace.dual_lattice_norms) == trace.steps_taken + 1
+
+
+def test_run_flags_a_two_cycle_as_oscillating(lat432, gauss432):
+    # II maps sigma to 1.5 sigma - 0.5 sigma^3, which sends sqrt(5) to
+    # -sqrt(5): a tight window scaled to S = 5 I flips sign every step.  The
+    # cycle is unstable (roundoff grows 6x a step), so the budget is short.
+    tight = gw.unfactorize(gw.svd_tight(gw.factorize(gauss432, lat432)))
+    fac = gw.factorize(tight, lat432)
+    B = gw.frame_bounds(gw.block_gram(fac, fac)).upper
+    trace = gw.run(tight, lat432, IterationConfig.from_algorithm(
+        "II", scaling="initial", Bhat=B / 5, max_steps=6))
+    assert trace.oscillating and not (trace.converged or trace.diverging)
+    assert trace.rel_steps == pytest.approx([2.0] * 6)
 
 
 @pytest.mark.parametrize("target,order,boundary", [("tight", 3, 7 / 3), ("dual", 3, 2.0)])
