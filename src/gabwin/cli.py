@@ -37,6 +37,8 @@ from .zak import (SpectralSummary, ZakFactorization, block_gram, factorize,
 EXIT_NOT_A_FRAME = 2
 EXIT_DIVERGED = 3
 EXIT_NOT_CONVERGED = 4
+_EXIT_CODES = {"converged": 0, "diverging": EXIT_DIVERGED, "non_finite": EXIT_DIVERGED,
+               "oscillating": EXIT_NOT_CONVERGED, "budget": EXIT_NOT_CONVERGED}
 
 
 def _fmt(x) -> str:
@@ -106,8 +108,8 @@ def _frame_bounds(fac: ZakFactorization) -> SpectralSummary:
     return frame_bounds(block_gram(fac, fac))
 
 
-def _steps_to_converge(trace) -> int | None:
-    return trace.steps_taken if trace.converged else None
+def _steps_to_converge(trace) -> int:
+    return trace.steps_taken if trace.converged else -1
 
 
 def _canonical_wr_scale(target: str, g: np.ndarray, gamma: np.ndarray,
@@ -141,23 +143,19 @@ def cmd_canonical(args: argparse.Namespace) -> int:
         name = args.method.split(":", 1)[1]
         config = IterationConfig.from_algorithm(
             name, scaling=args.scaling.replace("-", "_"), Bhat=args.Bhat,
-            max_steps=args.steps,
-            stop_mode="tol" if args.tol is not None else "auto", tol=args.tol)
+            max_steps=args.steps, tol=args.tol)
         if config.target != args.target:
             raise ValueError(
                 f"algorithm {name} computes the {config.target} window, "
                 f"not {args.target}")
         trace = run(g, lattice, config)
         gamma = trace.final
-        if not trace.converged:
-            code = EXIT_DIVERGED if trace.diverging else EXIT_NOT_CONVERGED
+        code = _EXIT_CODES[trace.stop_reason]
         report["iteration"] = {
             "algorithm": name,
             "scaling": config.scaling,
             "steps": trace.steps_taken,
-            "converged": trace.converged,
-            "diverging": trace.diverging,
-            "oscillating": trace.oscillating,
+            "stop_reason": trace.stop_reason,
             "wrong_limit": trace.wrong_limit,
             "final_rel_step": trace.rel_steps[-1] if trace.rel_steps else None,
             "error_vs_reference": trace.errors[-1],
@@ -286,7 +284,7 @@ def _numits_item(lattice, w):
         kwargs = {} if name == "I" else {"scaling": "initial", "Bhat": Bhat}
         trace = run(g, lattice, IterationConfig.from_algorithm(
             name, max_steps=60, **kwargs))
-        row.append(_steps_to_converge(trace) or -1)
+        row.append(_steps_to_converge(trace))
     return row
 
 
@@ -302,14 +300,13 @@ def _scaling_sweep_item(lattice, g, B_best, target, b_scaled):
         config = IterationConfig(target=target, order=order, scaling="initial",
                                  Bhat=B_best / b_scaled, max_steps=80)
         trace = run(g, lattice, config)
-        steps = _steps_to_converge(trace)
         if trace.converged:
             # past the sign-flip boundary the tight iteration can still halt
             # by step size, but on the wrong tight window
             flag = "wrong_limit" if trace.wrong_limit else "converged"
         else:
             flag = "diverged"
-        row += [steps if steps is not None else -1, flag]
+        row += [_steps_to_converge(trace), flag]
     return row
 
 
@@ -351,7 +348,7 @@ def _fibonacci_item(pp, qq, L, a, b, target_ratio):
     row = [pp, qq, L, a, b, w, ratio]
     for name in ("I", "II", "IV"):
         trace = run(g, lattice, IterationConfig.from_algorithm(name, max_steps=60))
-        row.append(_steps_to_converge(trace) or -1)
+        row.append(_steps_to_converge(trace))
     return row
 
 

@@ -114,9 +114,9 @@ def scalar_iteration(sigmas: np.ndarray, config: IterationConfig,
     if config.scaling == "initial" and config.Bhat is None:
         raise ValueError("initial scaling of a scalar run needs an explicit Bhat")
     steps = config.max_steps if steps is None else steps
-    config = replace(config, stop_mode="fixed", max_steps=steps)
+    config = replace(config, stop_mode="fixed", max_steps=steps, tol=None)
     sig = _prescale(np.asarray(sigmas).reshape(-1, 1, 1, 1), config, _scalar_gram,
                     config.Bhat)
-    # fixed steps stop early only on divergence: freeze at the last iterand
+    # fixed steps stop early only on a non-finite iterand: freeze at the last one
     trace = [blocks.reshape(-1) for blocks in _iterate(sig, config, _scalar_gram)[0]]
     return np.array(trace + trace[-1:] * (steps + 1 - len(trace)))

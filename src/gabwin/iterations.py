@@ -14,9 +14,9 @@ Powers of Z_k never require a square root thanks to
 Z^(2r) gamma = (S S_k)^r gamma and Z^(2r+1) gamma = (S S_k)^r S_k g.
 
 One loop (_iterate, after _prescale) holds the step rules, the scalings and
-the stopping rule and returns the iterands' blocks; run() builds its trace
-from them, dense.scalar_iteration runs the loop on 1 x 1 blocks of singular
-values.  Norms stay in the input dtype.
+the stopping rule; run() builds its trace from the iterands' blocks and
+unfactorizes only the last, dense.scalar_iteration runs the loop on 1 x 1
+blocks of singular values.  Norms stay in the input dtype.
 """
 
 from __future__ import annotations
@@ -149,11 +149,15 @@ def _upper_frame_bound(A: np.ndarray, lattice: GaborLattice) -> float:
     return float(np.abs(diagnostics._gram_correlations(A, lattice)).sum())
 
 
+def _checked_Bhat(Bhat):
+    if Bhat is not None and not 0 < Bhat < np.inf:
+        raise ValueError(f"Bhat must be positive and finite, got {Bhat}")
+    return Bhat
+
+
 def initial_scale(fac: ZakFactorization, Bhat: float) -> ZakFactorization:
     """Divide the window by Bhat^(1/2) (so S is divided by Bhat)."""
-    if Bhat <= 0:
-        raise ValueError("Bhat must be positive")
-    return ZakFactorization(fac.lattice, fac.blocks / np.sqrt(Bhat))
+    return ZakFactorization(fac.lattice, fac.blocks / np.sqrt(_checked_Bhat(Bhat)))
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +169,9 @@ class IterationConfig:
 
     ``order`` is the envisaged convergence order m >= 2 of the Taylor
     polynomial; ``inverse=True`` selects algorithm I instead (tight target,
-    norm scaling only).  ``stop_mode``: "auto" stops at the eps^(1/m)
-    relative-step threshold or on divergence, "fixed" always runs
-    ``max_steps`` steps, "tol" uses an explicit relative-step tolerance.
+    norm scaling only).  ``stop_mode``: "auto" stops at the relative-step
+    threshold, ``tol`` when given and else eps^(1/m), or on divergence;
+    "fixed" always runs ``max_steps`` steps and takes no ``tol``.
     """
 
     target: str = "tight"
@@ -184,7 +188,7 @@ class IterationConfig:
             raise ValueError(f"unknown target {self.target!r}")
         if self.scaling not in _SCALINGS:
             raise ValueError(f"unknown scaling {self.scaling!r}")
-        if self.stop_mode not in ("auto", "fixed", "tol"):
+        if self.stop_mode not in ("auto", "fixed"):
             raise ValueError(f"unknown stop_mode {self.stop_mode!r}")
         if self.inverse:
             if self.target != "tight":
@@ -193,14 +197,14 @@ class IterationConfig:
                 raise ValueError("algorithm I supports norm scaling only")
         elif self.order < 2:
             raise ValueError("polynomial iterations need order >= 2")
-        if self.stop_mode == "tol" and self.tol is None:
-            raise ValueError("stop_mode 'tol' needs a tolerance")
-        if self.tol is not None and not 0 < self.tol < np.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if self.tol is not None:
+            if self.stop_mode == "fixed":
+                raise ValueError("stop_mode 'fixed' takes no tol")
+            if not 0 < self.tol < np.inf:
+                raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_steps < 0:
             raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
-        if self.Bhat is not None and self.Bhat <= 0:
-            raise ValueError("Bhat must be positive")
+        _checked_Bhat(self.Bhat)
 
     @classmethod
     def from_algorithm(cls, name: str, **kwargs) -> "IterationConfig":
@@ -222,7 +226,7 @@ class IterationConfig:
 
     @property
     def step_threshold(self) -> float:
-        if self.stop_mode == "tol":
+        if self.tol is not None:
             return self.tol
         m = 2 if self.inverse else self.order
         return EPS ** (1.0 / m)
@@ -294,25 +298,24 @@ class IterationTrace:
     """Record of a run, which keeps the blocks of every iterand.
 
     ``blocks[k]`` holds the Zak blocks of gamma_k (gamma_0 is the
-    prescaled window g).  Computed by run(): ``iterands[k]``, gamma_k as a
-    signal; ``rel_steps[k]``, ||gamma_{k+1} - gamma_k|| / ||gamma_{k+1}||;
-    ``errors[k]``, the normalized-window distance to the reference; and the
-    four flags.  Computed from the blocks when first read: ``bounds[k]``,
-    (A_k, B_k) for tight targets and the Z-bounds (E_k, F_k) for dual ones,
-    and ``dual_lattice_norms[k]``, that of the normalized gamma_k (against
-    the normalized g for dual targets).
+    prescaled window g).  Computed by run(): ``rel_steps[k]``,
+    ||gamma_{k+1} - gamma_k|| / ||gamma_{k+1}||; ``errors[k]``, the
+    normalized gamma_k's distance to the normalized reference, on the
+    blocks; ``final``, the last iterand as a signal; ``stop_reason`` (see
+    _iterate); and ``wrong_limit``.  Computed from the blocks when first
+    read: ``iterands[k]``, gamma_k as a signal; ``bounds[k]``, (A_k, B_k)
+    for tight targets and the Z-bounds (E_k, F_k) for dual ones; and
+    ``dual_lattice_norms[k]``, that of the normalized gamma_k (against the
+    normalized g for dual targets).  The last two share one Gram per iterand.
     """
 
     config: IterationConfig
     lattice: GaborLattice
-    reference: np.ndarray
     blocks: list
-    iterands: list
     rel_steps: list
     errors: list
-    converged: bool = False
-    diverging: bool = False
-    oscillating: bool = False
+    final: np.ndarray
+    stop_reason: str
     wrong_limit: bool = False
 
     @property
@@ -320,24 +323,29 @@ class IterationTrace:
         return len(self.rel_steps)
 
     @property
-    def final(self) -> np.ndarray:
-        return self.iterands[-1]
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
-    def _grams(self):
+    @cached_property
+    def iterands(self) -> list:
+        return [unfactorize(ZakFactorization(self.lattice, b)) for b in self.blocks]
+
+    @cached_property
+    def _grams(self) -> list:
         """A^{gamma,gamma} (tight) or A^{g,gamma} (dual) of every iterand."""
         g, tight = self.blocks[0], self.config.target == "tight"
-        return (_gram_blocks(b if tight else g, b, self.lattice) for b in self.blocks)
+        return [_gram_blocks(b if tight else g, b, self.lattice) for b in self.blocks]
 
     @cached_property
     def bounds(self) -> list:
         # post-convergence divergence legitimately leaves the orbit; the
         # departure is kept in bounds[k].max_imag_ratio, not warned about
-        return [_spectrum(A, self.config.target) for A in self._grams()]
+        return [_spectrum(A, self.config.target) for A in self._grams]
 
     @cached_property
     def dual_lattice_norms(self) -> list:
         g_norm, norms = np.linalg.norm(self.blocks[0]), []
-        for blocks, A in zip(self.blocks, self._grams()):
+        for blocks, A in zip(self.blocks, self._grams):
             norm = np.linalg.norm(blocks)
             scale = norm ** 2 if self.config.target == "tight" else g_norm * norm
             # correlations are linear in A, so dividing by the norms gives the
@@ -345,10 +353,6 @@ class IterationTrace:
             norms.append(float(diagnostics._off_origin_mass(
                 diagnostics._gram_correlations(A, self.lattice)) / scale))
         return norms
-
-
-def _normalized(x: np.ndarray) -> np.ndarray:
-    return x / np.linalg.norm(x)
 
 
 class _DivergenceDetector:
@@ -399,9 +403,7 @@ def _prescale(g_blocks: np.ndarray, config: IterationConfig, gram, Bhat) -> np.n
             raise NotAFrameError("not a frame: cannot compute optimal scaling")
         Bhat = optimal_scaling_constant(bounds.lower, bounds.upper, config.algorithm_name)
     if config.scaling in ("initial", "initial_optimal"):
-        if not Bhat > 0:
-            raise ValueError("Bhat must be positive")
-        g_blocks = g_blocks / np.sqrt(finfo.dtype.type(Bhat))
+        g_blocks = g_blocks / np.sqrt(finfo.dtype.type(_checked_Bhat(Bhat)))
     g_norm, least = np.linalg.norm(g_blocks), np.sqrt(finfo.tiny)
     if not g_norm >= least:
         raise ValueError(f"window norm too small: {g_norm:.3g} < {least:.3g}, "
@@ -417,7 +419,10 @@ def _iterate(g_blocks: np.ndarray, config: IterationConfig, gram):
     reuses A^{g,g}.  Only constant_optimal reads a spectrum, that of
     A^{gamma,gamma} (tight) or A^{g,gamma} (dual).  Returns the blocks of
     every iterand (g_blocks first), the relative steps that led to them, and
-    "converged", "diverging" or None when the step budget is used up.
+    why it stopped: "converged", "diverging" (the detector fired),
+    "non_finite" (the next iterand's norm is not finite or is zero; it is
+    not kept), or with the budget used up "oscillating" (a two-cycle:
+    gamma_k within 1e-8 of gamma_{k-2}, steps above threshold) or "budget".
     """
     real = np.finfo(g_blocks.dtype).dtype.type
     tight = config.target == "tight"
@@ -446,7 +451,7 @@ def _iterate(g_blocks: np.ndarray, config: IterationConfig, gram):
                                         norm_scaled)
             new_norm = np.linalg.norm(new)
             if not np.isfinite(new_norm) or new_norm == 0.0:
-                return iterands, rel_steps, "diverging"
+                return iterands, rel_steps, "non_finite"
             rel = np.linalg.norm(new - blocks) / new_norm
 
         blocks = new
@@ -458,7 +463,11 @@ def _iterate(g_blocks: np.ndarray, config: IterationConfig, gram):
             return iterands, rel_steps, "converged"
         if detector.update(rel):
             return iterands, rel_steps, "diverging"
-    return iterands, rel_steps, None
+    if len(iterands) >= 3:
+        cyc = np.linalg.norm(iterands[-1] - iterands[-3]) / np.linalg.norm(iterands[-1])
+        if cyc < 1e-8 and rel_steps[-1] > config.step_threshold:
+            return iterands, rel_steps, "oscillating"
+    return iterands, rel_steps, "budget"
 
 
 def run(g: np.ndarray, lattice: GaborLattice, config: IterationConfig) -> IterationTrace:
@@ -470,22 +479,15 @@ def run(g: np.ndarray, lattice: GaborLattice, config: IterationConfig) -> Iterat
         Bhat = _upper_frame_bound(gram(fac0.blocks, fac0.blocks), lattice)
     g_blocks = _prescale(fac0.blocks, config, gram, Bhat)
     solve = svd_tight if config.target == "tight" else inv_dual
-    reference = unfactorize(solve(ZakFactorization(lattice, g_blocks)))
+    reference = solve(ZakFactorization(lattice, g_blocks)).blocks
+    reference = reference / np.linalg.norm(reference)
 
-    blocks, rel_steps, status = _iterate(g_blocks, config, gram)
-    iterands = [unfactorize(ZakFactorization(lattice, b)) for b in blocks]
-    unit_reference = _normalized(reference)
-    errors = [float(np.linalg.norm(_normalized(x) - unit_reference)) for x in iterands]
-    converged, diverging = status == "converged", status == "diverging"
-    oscillating = False
-    if not converged and len(blocks) >= 3:
-        # the factorization is unitary: the blocks' distances are the signals'
-        cyc = np.linalg.norm(blocks[-1] - blocks[-3]) / np.linalg.norm(blocks[-1])
-        oscillating = bool(cyc < 1e-8 and rel_steps[-1] > config.step_threshold)
+    blocks, rel_steps, reason = _iterate(g_blocks, config, gram)
+    errors = [float(np.linalg.norm(b / np.linalg.norm(b) - reference)) for b in blocks]
     return IterationTrace(
-        config, lattice, reference, blocks, iterands, rel_steps, errors,
-        converged, diverging, oscillating,
-        wrong_limit=(converged or diverging) and errors[-1] > 1e-6)
+        config, lattice, blocks, rel_steps, errors,
+        unfactorize(ZakFactorization(lattice, blocks[-1])), reason,
+        wrong_limit=reason not in ("oscillating", "budget") and errors[-1] > 1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ def test_canonical_tight_iter(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "tight.report.json").read_text())
     assert report["result"]["dual_lattice_norm"] < 1e-10
-    assert report["iteration"]["converged"]
+    assert report["iteration"]["stop_reason"] == "converged"
     win = np.fromfile(tmp_path / "tight.window", dtype="<c8")
     assert len(win) == 432
 
@@ -73,7 +73,7 @@ def test_divergence_exit_code(tmp_path):
                    "--out", tmp_path / "mon")
     assert code == 3
     report = json.loads((tmp_path / "mon.report.json").read_text())
-    assert report["iteration"]["diverging"]
+    assert report["iteration"]["stop_reason"] == "diverging"
     assert report["result"]["dual_lattice_norm"] > 0.1
 
 
@@ -102,20 +102,21 @@ def test_step_budget_exit_code(tmp_path):
                    "--out", tmp_path / "budget")
     assert code == 4
     report = json.loads((tmp_path / "budget.report.json").read_text())
-    assert report["iteration"]["converged"] is False
-    assert report["iteration"]["diverging"] is False
+    assert report["iteration"]["stop_reason"] == "budget"
     assert report["result"]["dual_lattice_norm"] > 0.1
     assert (tmp_path / "budget.window").stat().st_size == 8 * 432
 
 
 @pytest.mark.parametrize("option", [("--tol", 0), ("--tol", -1), ("--tol", "nan"),
-                                    ("--steps", -3)])
+                                    ("--steps", -3), ("--Bhat", "nan"),
+                                    ("--scaling", "initial", "--Bhat", "inf")])
 def test_bad_step_budget_or_tolerance_exit_code(tmp_path, capsys, option):
-    # a tolerance or step budget no run can use is an input error, caught
-    # before any window is written
+    # a tolerance, step budget or Bhat no run can use is an input error,
+    # caught before any window is written
     code = run_cli("canonical", "--method", "iter:II", *option, "--out", tmp_path / "x")
     assert code == 1
-    assert "must be" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "must be" in err and option[-2].lstrip("-") in err
     assert not (tmp_path / "x.window").exists()
 
 

@@ -112,7 +112,7 @@ def test_kantorovich_dominates_trace_errors(lat432, gauss432):
     for name in ("I", "II", "III", "IV", "V"):
         cfg = gw.IterationConfig.from_algorithm(name)
         trace = gw.run(gauss432, lat432, cfg)
-        assert trace.converged
+        assert trace.stop_reason == "converged"
         for k in range(trace.steps_taken + 1):
             ratio = trace.bounds[k].lower / trace.bounds[k].upper
             bound = (gw.kantorovich_bound_tight(ratio) if cfg.target == "tight"

@@ -101,6 +101,9 @@ def test_initial_scale_spectrum(lat432, gauss432):
     scaled = gw.initial_scale(fac, B)
     assert gw.frame_bounds(gw.block_gram(scaled, scaled)).upper == pytest.approx(
         1.0, rel=1e-12)
+    for Bhat in (0.0, -B, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="Bhat must be positive and finite"):
+            gw.initial_scale(fac, Bhat)
 
 
 # ---------------------------------------------------------------------------
@@ -264,18 +267,23 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"max_steps": -3}, {"stop_mode": "tol", "tol": 0.0},
-    {"stop_mode": "tol", "tol": -1.0}, {"stop_mode": "tol", "tol": float("nan")},
-    {"stop_mode": "tol", "tol": float("inf")}, {"tol": -1.0}, {"stop_mode": "tol"}],
-    ids=["steps-3", "tol0", "tol-1", "tol-nan", "tol-inf", "auto-tol-1", "tol-none"])
+    {"max_steps": -3}, {"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")},
+    {"tol": float("inf")}, {"stop_mode": "auto", "tol": -1.0}, {"stop_mode": "tol"},
+    {"stop_mode": "fixed", "tol": 1e-3}, {"Bhat": float("nan")},
+    {"Bhat": float("inf")}, {"scaling": "initial", "Bhat": float("inf")},
+    {"Bhat": 0.0}],
+    ids=["steps-3", "tol0", "tol-1", "tol-nan", "tol-inf", "auto-tol-1", "tol-none",
+         "fixed-tol", "Bhat-nan", "Bhat-inf", "initial-Bhat-inf", "Bhat0"])
 def test_config_rejects_bad_step_budget_and_tolerance(kwargs):
-    with pytest.raises(ValueError):
+    # the message names the offending field; "tol" is no stop mode, and a
+    # fixed-step run has no threshold for a tol to set
+    with pytest.raises(ValueError, match="|".join(k for k in kwargs if k != "scaling")):
         IterationConfig.from_algorithm("II", **kwargs)
 
 
 def test_run_II_converges_fast(lat432, gauss432, ref_tight432):
     trace = gw.run(gauss432, lat432, IterationConfig.from_algorithm("II"))
-    assert trace.converged and trace.steps_taken <= 7
+    assert trace.stop_reason == "converged" and trace.steps_taken <= 7
     err = np.linalg.norm(
         trace.final / np.linalg.norm(trace.final)
         - ref_tight432 / np.linalg.norm(ref_tight432))
@@ -320,7 +328,7 @@ def test_run_I_quadratic_and_stays(lat432, gauss432):
 def test_run_I_handles_bad_conditioning(lat432):
     g = gw.gaussian_window(432, 1 / 5).astype(complex)
     trace = gw.run(g, lat432, IterationConfig.from_algorithm("I", max_steps=40))
-    assert trace.converged
+    assert trace.stop_reason == "converged"
     assert trace.errors[-1] < 1e-10
 
 
@@ -341,18 +349,18 @@ def test_attraction_regions_full_frame(target, order, boundary, lat432, gauss432
     inside = gw.run(gauss432, lat432, IterationConfig(
         target=target, order=order, scaling="initial",
         Bhat=B / (0.95 * boundary), max_steps=80))
-    assert inside.converged and not inside.wrong_limit
+    assert inside.stop_reason == "converged" and not inside.wrong_limit
     outside = gw.run(gauss432, lat432, IterationConfig(
         target=target, order=order, scaling="initial",
         Bhat=B / (1.05 * boundary), max_steps=80))
-    assert not outside.converged or outside.wrong_limit
+    assert outside.stop_reason != "converged" or outside.wrong_limit
 
 
 def test_scaling_strategies_step_counts(lat432, gauss432):
     def steps(name, **kw):
         trace = gw.run(gauss432, lat432,
                        IterationConfig.from_algorithm(name, **kw))
-        assert trace.converged
+        assert trace.stop_reason == "converged"
         return trace.steps_taken
 
     for name in ("II", "IV"):
@@ -474,6 +482,40 @@ def test_run_computes_no_unread_diagnostics(name, monkeypatch, lat432, gauss432)
     assert len(trace.bounds) == len(trace.dual_lattice_norms) == trace.steps_taken + 1
 
 
+@pytest.mark.parametrize("name", ["II", "IV"])
+def test_run_unfactorizes_only_the_final_iterand(name, monkeypatch, lat432, gauss432):
+    # the errors are taken on the blocks; the signal iterands are built when read
+    calls = {"factorize": 0, "unfactorize": 0}
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr("gabwin.iterations.factorize", counted(gw.factorize))
+    monkeypatch.setattr("gabwin.iterations.unfactorize", counted(gw.unfactorize))
+    trace = gw.run(gauss432, lat432, IterationConfig.from_algorithm(name))
+    assert calls == {"factorize": 1, "unfactorize": 1}
+    assert trace.steps_taken > 1
+    assert np.array_equal(trace.iterands[-1], trace.final)
+    assert calls["unfactorize"] == trace.steps_taken + 2
+
+
+@pytest.mark.parametrize("name", ["II", "IV"])
+def test_trace_builds_each_gram_once(name, monkeypatch, lat432, gauss432):
+    trace = gw.run(gauss432, lat432, IterationConfig.from_algorithm(name))
+    calls = []
+
+    def counted(X, Y, lattice):
+        calls.append(lattice)
+        return gw.zak._gram_blocks(X, Y, lattice)
+
+    monkeypatch.setattr("gabwin.iterations._gram_blocks", counted)
+    assert trace.bounds and trace.dual_lattice_norms
+    assert len(calls) == trace.steps_taken + 1
+
+
 def test_run_flags_a_two_cycle_as_oscillating(lat432, gauss432):
     # II maps sigma to 1.5 sigma - 0.5 sigma^3, which sends sqrt(5) to
     # -sqrt(5): a tight window scaled to S = 5 I flips sign every step.  The
@@ -483,7 +525,7 @@ def test_run_flags_a_two_cycle_as_oscillating(lat432, gauss432):
     B = gw.frame_bounds(gw.block_gram(fac, fac)).upper
     trace = gw.run(tight, lat432, IterationConfig.from_algorithm(
         "II", scaling="initial", Bhat=B / 5, max_steps=6))
-    assert trace.oscillating and not (trace.converged or trace.diverging)
+    assert trace.stop_reason == "oscillating"
     assert trace.rel_steps == pytest.approx([2.0] * 6)
 
 
@@ -496,7 +538,7 @@ def test_diverging_run_leaks_no_runtime_warning(target, order, boundary, lat432,
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         trace = gw.run(gauss432, lat432, config)
-    assert trace.diverging
+    assert trace.stop_reason == "non_finite"
 
 
 def test_concurrent_dual_runs_leave_warning_filters_unchanged(lat432, gauss432):
@@ -524,7 +566,7 @@ def test_monster_run_stops_with_large_dual_lattice_norm(lat600, monster600):
         "II", max_steps=40))
     assert trace.steps_taken < 40
     assert trace.dual_lattice_norms[-1] > 0.1
-    assert trace.wrong_limit
+    assert trace.stop_reason == "diverging" and trace.wrong_limit
 
 
 def test_divergence_detector():
@@ -545,7 +587,7 @@ def test_detector_spares_converging_badly_conditioned_dual(lat432):
         "IV", scaling="initial",
         Bhat=gw.upper_frame_bound_estimate(g, lat432), max_steps=60)
     trace = gw.run(g, lat432, cfg)
-    assert trace.converged and not trace.diverging
+    assert trace.stop_reason == "converged"
     assert trace.errors[-1] < 1e-8
 
 
@@ -575,7 +617,7 @@ def test_block_size_independent_step_counts():
         w = tune_width_to_ratio(lt, 3.0)
         g = gw.gaussian_window(L, w).astype(complex)
         trace = gw.run(g, lt, IterationConfig.from_algorithm("II"))
-        assert trace.converged
+        assert trace.stop_reason == "converged"
         counts.append(trace.steps_taken)
     assert counts[0] == counts[1]
 
@@ -584,7 +626,7 @@ def test_run_on_nonsquare_lattice(lat144):
     g = gw.sech_window(144).astype(complex)
     for name in ("II", "IV"):
         trace = gw.run(g, lat144, IterationConfig.from_algorithm(name))
-        assert trace.converged
+        assert trace.stop_reason == "converged"
         assert trace.errors[-1] < 1e-10
         assert not trace.wrong_limit
 
@@ -598,10 +640,10 @@ def test_flop_estimate_values(lat432):
 
 
 def test_explicit_tolerance_stop(lat432, gauss432):
-    loose = gw.run(gauss432, lat432, IterationConfig.from_algorithm(
-        "II", stop_mode="tol", tol=1e-3))
+    # a given tol is the threshold of the auto stop
+    loose = gw.run(gauss432, lat432, IterationConfig.from_algorithm("II", tol=1e-3))
     strict = gw.run(gauss432, lat432, IterationConfig.from_algorithm("II"))
-    assert loose.converged and strict.converged
+    assert loose.stop_reason == strict.stop_reason == "converged"
     assert loose.steps_taken < strict.steps_taken
     assert loose.rel_steps[-1] < 1e-3
 
