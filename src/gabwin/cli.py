@@ -31,8 +31,8 @@ from .iterations import (
 from .lattice import GaborLattice, derive_lattice
 from .scalarlab import two_point_norm_scaled
 from .windows import gaussian_window, monster_window, sech_window
-from .zak import (SpectralSummary, ZakFactorization, block_gram, factorize,
-                  frame_bounds, unfactorize)
+from .zak import (BlockOperator, SpectralSummary, ZakFactorization, _gram_blocks,
+                  block_gram, factorize, frame_bounds, unfactorize)
 
 EXIT_NOT_A_FRAME = 2
 EXIT_DIVERGED = 3
@@ -100,7 +100,12 @@ def make_window(spec: str, lattice: GaborLattice) -> np.ndarray:
 
 
 def save_window(path: str, values: np.ndarray) -> None:
-    np.asarray(values, dtype=complex).astype("<c8").tofile(path)
+    with np.errstate(over="ignore"):  # a sample that does not fit is the error below
+        samples = np.asarray(values, dtype=complex).astype("<c8")
+    if not np.isfinite(samples).all():
+        raise ValueError(
+            f"largest |sample| {np.abs(values).max():.3g} overflows complex64")
+    samples.tofile(path)
 
 
 def _frame_bounds(fac: ZakFactorization) -> SpectralSummary:
@@ -110,16 +115,6 @@ def _frame_bounds(fac: ZakFactorization) -> SpectralSummary:
 
 def _steps_to_converge(trace) -> int:
     return trace.steps_taken if trace.converged else -1
-
-
-def _canonical_wr_scale(target: str, g: np.ndarray, gamma: np.ndarray,
-                        lattice: GaborLattice) -> np.ndarray:
-    """Rescale an iterative (normalized) limit onto the canonical scale so
-    the Wexler-Raz diagonal is 1."""
-    if target == "tight":
-        return gamma / np.linalg.norm(gamma) * np.sqrt(lattice.density)
-    corr = diagnostics.adjoint_correlations(g, gamma, lattice)[0, 0]
-    return gamma / corr
 
 
 def cmd_canonical(args: argparse.Namespace) -> int:
@@ -149,7 +144,7 @@ def cmd_canonical(args: argparse.Namespace) -> int:
                 f"algorithm {name} computes the {config.target} window, "
                 f"not {args.target}")
         trace = run(g, lattice, config)
-        gamma = trace.final
+        out, gamma = trace.blocks[-1], trace.final
         code = _EXIT_CODES[trace.stop_reason]
         report["iteration"] = {
             "algorithm": name,
@@ -166,25 +161,31 @@ def cmd_canonical(args: argparse.Namespace) -> int:
         want = "dual" if args.method == "inv" else "tight"
         if want != args.target:
             raise ValueError(f"method {args.method} computes the {want} window")
-        gamma = unfactorize(fn(fac))
+        result = fn(fac)
+        out, gamma = result.blocks, unfactorize(result)
         report["flops"] = flop_estimate(lattice, args.method.upper())
     elif args.method == "ref":
         gamma = (reference_tight if args.target == "tight" else reference_dual)(
             g, lattice)
+        out = factorize(gamma, lattice).blocks
     else:
         raise ValueError(f"unknown method {args.method!r}")
 
-    gn = gamma / np.linalg.norm(gamma)
-    canonical_gamma = _canonical_wr_scale(args.target, g, gamma, lattice)
+    # the report comes from the output's Zak blocks: A^{gamma,gamma} gives the frame
+    # bounds, the correlations of unit-norm gamma (tight) or g, gamma (dual) the rest
+    A = _gram_blocks(out, out, lattice)
     if args.target == "tight":
-        dln = diagnostics.dual_lattice_norm_tight(gn, lattice)
-        # tight windows are Wexler-Raz biorthogonal to themselves
-        wr = diagnostics.wexler_raz_residual(canonical_gamma, canonical_gamma,
-                                             lattice)
+        corr = diagnostics._gram_correlations(A, lattice) / np.linalg.norm(out) ** 2
     else:
-        dln = diagnostics.dual_lattice_norm_dual(g / np.linalg.norm(g), gn, lattice)
-        wr = diagnostics.wexler_raz_residual(g, canonical_gamma, lattice)
-    out_summary = _frame_bounds(factorize(gamma, lattice))
+        corr = diagnostics._gram_correlations(_gram_blocks(fac.blocks, out, lattice),
+                                              lattice)
+        corr /= np.linalg.norm(fac.blocks) * np.linalg.norm(out)
+    dln = diagnostics._off_origin_mass(corr)
+    # Wexler-Raz at the canonical scale, where the diagonal is 1 (tight: with itself)
+    corr = corr * lattice.density if args.target == "tight" else corr / corr[0, 0].conj()
+    corr[0, 0] -= 1.0
+    wr = float(np.abs(corr).max())
+    out_summary = frame_bounds(BlockOperator(lattice, A))
     report["result"] = {
         "dual_lattice_norm": dln,
         "wexler_raz_residual": wr,
@@ -193,10 +194,14 @@ def cmd_canonical(args: argparse.Namespace) -> int:
                          "ratio": out_summary.ratio},
     }
 
-    save_window(args.out + ".window", gamma)
     with open(args.out + ".report.json", "w") as fh:
         json.dump(report, fh, indent=2, default=str)
         fh.write("\n")
+    try:
+        save_window(args.out + ".window", gamma)
+    except ValueError as exc:  # the report stands; no exit 0 without a window
+        print(f"error: window not written: {exc}", file=sys.stderr)
+        return code or 1
     print(f"{args.target} window via {args.method}: dual lattice norm {dln:.3e}, "
           f"Wexler-Raz residual {wr:.3e} -> {args.out}.window")
     return code
@@ -260,13 +265,12 @@ def _precision_item(lattice, w):
     g = gaussian_window(lattice.L, w).astype(complex)
     fac = factorize(g, lattice)
     summary = _frame_bounds(fac)
-    ge = unfactorize(eig_tight(fac))
-    gs = unfactorize(svd_tight(fac))
     trace = run(g, lattice, IterationConfig.from_algorithm("II", max_steps=40))
-    def dln(x):
-        return diagnostics.dual_lattice_norm_tight(x / np.linalg.norm(x), lattice)
-    return [w, summary.ratio, dln(ge), dln(gs), dln(trace.final),
-            trace.steps_taken]
+    def dln(x):  # of the unit-norm window whose Zak blocks are x
+        corr = diagnostics._gram_correlations(_gram_blocks(x, x, lattice), lattice)
+        return diagnostics._off_origin_mass(corr) / np.linalg.norm(x) ** 2
+    return [w, summary.ratio, dln(eig_tight(fac).blocks), dln(svd_tight(fac).blocks),
+            dln(trace.blocks[-1]), trace.steps_taken]
 
 
 def exp_precision(args, lattice, g):

@@ -42,16 +42,6 @@ class GaborLattice:
         """Lattice density a*b/L = p/q."""
         return self.p / self.q
 
-    @property
-    def adjoint_time_step(self) -> int:
-        """Time step L/b of the adjoint lattice."""
-        return self.M
-
-    @property
-    def adjoint_freq_step(self) -> int:
-        """Frequency step L/a of the adjoint lattice."""
-        return self.N
-
 
 def derive_lattice(L: int, a: int, b: int) -> GaborLattice:
     """Validate (L, a, b) and compute the derived block parameters."""

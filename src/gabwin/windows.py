@@ -38,8 +38,8 @@ def _periodize(L: int, w: float, term) -> np.ndarray:
 
 def gaussian_window(L: int, w: float = 1.0) -> np.ndarray:
     """Sampled-periodized dilated Gaussian, unit norm, even about sample 0."""
-    if w <= 0:
-        raise ValueError("width w must be positive")
+    if not 0 < w < np.inf:  # a non-finite w would periodize forever
+        raise ValueError(f"width w must be positive and finite, got {w}")
     vals = _periodize(L, w, lambda t, w: np.exp(-np.pi * t * t / w))
     return (w * L / 2.0) ** (-0.25) * vals
 
@@ -53,8 +53,8 @@ def _sech(x: np.ndarray) -> np.ndarray:
 
 def sech_window(L: int, w: float = 1.0) -> np.ndarray:
     """Sampled-periodized dilated hyperbolic secant, unit norm, even."""
-    if w <= 0:
-        raise ValueError("width w must be positive")
+    if not 0 < w < np.inf:  # a non-finite w would periodize forever
+        raise ValueError(f"width w must be positive and finite, got {w}")
     vals = _periodize(L, w, lambda t, w: _sech(np.pi * t / np.sqrt(w)))
     return np.sqrt(np.pi / 2.0) * (w * L) ** (-0.25) * vals
 

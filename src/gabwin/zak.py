@@ -101,9 +101,6 @@ class ZakFactorization:
             )
         self.blocks.flags.writeable = False
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.blocks))
-
 
 @dataclass(frozen=True)
 class BlockOperator:

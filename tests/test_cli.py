@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -77,10 +78,11 @@ def test_divergence_exit_code(tmp_path):
     assert report["result"]["dual_lattice_norm"] > 0.1
 
 
-@pytest.mark.parametrize("sigma", ["-6", "0"])
-def test_monster_bad_singular_value_exit_code(tmp_path, capsys, sigma):
+@pytest.mark.parametrize("spec", ["monster:-6", "monster:0", "gauss:nan", "sech:inf"])
+def test_monster_bad_singular_value_exit_code(tmp_path, capsys, spec):
+    # a window width that is not finite is an input error as well
     code = run_cli("canonical", "--L", 600, "--a", 20, "--b", 20,
-                   "--window", f"monster:{sigma}", "--method", "svd",
+                   "--window", spec, "--method", "svd",
                    "--out", tmp_path / "mon")
     assert code == 1
     assert "positive and finite" in capsys.readouterr().err
@@ -105,6 +107,76 @@ def test_step_budget_exit_code(tmp_path):
     assert report["iteration"]["stop_reason"] == "budget"
     assert report["result"]["dual_lattice_norm"] > 0.1
     assert (tmp_path / "budget.window").stat().st_size == 8 * 432
+
+
+@pytest.mark.parametrize("method,target", [("iter:II", "tight"), ("iter:IV", "dual")])
+def test_window_beyond_complex64_is_not_written(tmp_path, capsys, method, target):
+    # the run stops non_finite at an iterand whose samples complex64 cannot
+    # hold: the report is written, the window is not, the exit code is the run's
+    code = run_cli("canonical", "--method", method, "--target", target,
+                   "--scaling", "initial", "--Bhat", 0.05, "--steps", 8,
+                   "--out", tmp_path / "big")
+    assert code == 3
+    report = json.loads((tmp_path / "big.report.json").read_text())
+    assert report["iteration"]["stop_reason"] == "non_finite"
+    assert report["result"]["window_norm"] > 1e38
+    assert "largest |sample|" in capsys.readouterr().err
+    assert not (tmp_path / "big.window").exists()
+
+
+def _count_zak_calls(monkeypatch):
+    """Count factorize and unfactorize calls in every gabwin namespace."""
+    calls = {"factorize": 0, "unfactorize": 0}
+    for name in calls:
+        original = getattr(gw.zak, name)
+
+        def counted(*args, _name=name, _fn=original):
+            calls[_name] += 1
+            return _fn(*args)
+        for mod in [m for n, m in sys.modules.items() if n.startswith("gabwin")]:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("method,target", [("iter:II", "tight"), ("iter:IV", "dual"),
+                                           ("svd", "tight"), ("inv", "dual"),
+                                           ("ref", "tight"), ("ref", "dual")])
+def test_canonical_report_from_output_blocks(tmp_path, monkeypatch, method, target):
+    # the report is computed on the Zak blocks the command holds: no signal
+    # round trip, and the values of the signal-domain diagnostics
+    written = []
+    save = gw.cli.save_window
+    monkeypatch.setattr("gabwin.cli.save_window",
+                        lambda path, values: (written.append(values), save(path, values)))
+    calls = _count_zak_calls(monkeypatch)
+    code = run_cli("canonical", "--window", "gauss:1", "--method", method,
+                   "--target", target, "--out", tmp_path / "c")
+    monkeypatch.undo()
+    assert code == 0
+    if method in ("svd", "inv"):
+        assert calls == {"factorize": 1, "unfactorize": 1}
+    else:
+        assert calls["factorize"] <= 2 and calls["unfactorize"] <= 1
+
+    lt = gw.derive_lattice(432, 18, 18)
+    g, gamma = gw.gaussian_window(432).astype(complex), written[0]
+    gn = gamma / np.linalg.norm(gamma)
+    if target == "tight":
+        dln = gw.dual_lattice_norm_tight(gn, lt)
+        canonical = gn * np.sqrt(lt.density)
+        wr = gw.wexler_raz_residual(canonical, canonical, lt)
+    else:
+        dln = gw.dual_lattice_norm_dual(g / np.linalg.norm(g), gn, lt)
+        wr = gw.wexler_raz_residual(
+            g, gamma / gw.adjoint_correlations(g, gamma, lt)[0, 0], lt)
+    fac = gw.factorize(gamma, lt)
+    bounds = gw.frame_bounds(gw.block_gram(fac, fac))
+    result = json.loads((tmp_path / "c.report.json").read_text())["result"]
+    assert result["dual_lattice_norm"] == pytest.approx(dln, rel=0, abs=1e-13 * max(1, dln))
+    assert result["wexler_raz_residual"] == pytest.approx(wr, rel=0, abs=1e-13 * max(1, wr))
+    for key, value in (("A", bounds.lower), ("B", bounds.upper)):
+        assert abs(result["frame_bounds"][key] - value) <= 1e-13 * bounds.upper
 
 
 @pytest.mark.parametrize("option", [("--tol", 0), ("--tol", -1), ("--tol", "nan"),

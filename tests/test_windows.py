@@ -46,6 +46,11 @@ def test_window_rejects_bad_width():
         gw.gaussian_window(120, 0.0)
     with pytest.raises(ValueError):
         gw.sech_window(120, -1.0)
+    # a width that is not finite would periodize forever
+    for make in (gw.gaussian_window, gw.sech_window):
+        for w in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                make(120, w)
 
 
 def test_monster_unmodified_is_gaussian(lat600):
