@@ -190,8 +190,9 @@ def cmd_canonical(args: argparse.Namespace) -> int:
         "dual_lattice_norm": dln,
         "wexler_raz_residual": wr,
         "window_norm": float(np.linalg.norm(gamma)),
+        # A^{gamma,gamma} is semidefinite: a lower bound <= 0 is roundoff, no ratio
         "frame_bounds": {"A": out_summary.lower, "B": out_summary.upper,
-                         "ratio": out_summary.ratio},
+                         "ratio": out_summary.ratio if out_summary.is_frame else None},
     }
 
     with open(args.out + ".report.json", "w") as fh:
@@ -365,8 +366,8 @@ def exp_fibonacci(args, lattice, g):
 def exp_scalar_lab(args, lattice, g):
     rows = []
     for algo, xmax in (("II", 3.4), ("IV", 2.6)):
-        for x in np.round(np.arange(0.1, xmax + 1e-9, 0.1), 10):
-            cls = two_point_norm_scaled(float(x), args.eps, algo)
+        xs = np.round(np.arange(0.1, xmax + 1e-9, 0.1), 10)
+        for x, cls in zip(xs, two_point_norm_scaled(xs, args.eps, algo)):
             rows.append([algo, x, args.eps, cls.value])
     return ["algo", "x", "eps", "classification"], rows
 

@@ -57,8 +57,9 @@ def synthesis_matrix(g: np.ndarray, lattice: GaborLattice) -> SynthesisMatrix:
     cols = np.arange(lt.M * lt.N)
     m, n = cols % lt.M, cols // lt.M
     l = np.arange(lt.L)[:, None]
-    entries = np.exp(2j * np.pi * l * (m * lt.b)[None, :] / lt.L) \
-        * g[(l - (n * lt.a)[None, :]) % lt.L]
+    # modulation phases l m b mod L in exact integers, from one table of roots
+    roots = np.exp(2j * np.pi * np.arange(lt.L) / lt.L)
+    entries = roots[l * (m * lt.b)[None, :] % lt.L] * g[(l - (n * lt.a)[None, :]) % lt.L]
     return SynthesisMatrix(lattice=lt, entries=entries)
 
 
@@ -74,7 +75,7 @@ def reference_tight(g: np.ndarray, lattice: GaborLattice) -> np.ndarray:
     """Ground-truth canonical tight window from the dense polar part U V*
     (the zero-shift column of the tight synthesis matrix is the window)."""
     U, _, Vh = _thin_svd(g, lattice)
-    return (U @ Vh)[:, 0]
+    return U @ Vh[:, 0]
 
 
 def reference_dual(g: np.ndarray, lattice: GaborLattice) -> np.ndarray:

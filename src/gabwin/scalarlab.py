@@ -77,45 +77,57 @@ def _two_point_step_dual(c: float, d: float, x: float, eps: float):
     return 2 * c / n1 - c**2 / n2, 2 * d / n1 - d**2 * x / n2
 
 
-def two_point_norm_scaled(x: float, eps: float, algo: str = "II",
-                          steps: int = 500) -> Classification:
+def two_point_norm_scaled(x: float | np.ndarray, eps: float, algo: str = "II",
+                          steps: int = 500) -> Classification | list[Classification]:
     """Classify the limit of the norm-scaled two-valued recursion.
 
     Starts from the Zak values (c, d) = (1, x).  Thresholds for eps << 1:
     algo II converges (both values to 1) for x < sqrt(3), flips the sign of
     d on (sqrt(3), sqrt(5)) and is chaotic beyond sqrt(5); algo IV reaches
     (1, 1/x) for x < sqrt(2) and drives d negative beyond.
+
+    x is one positive finite value, which gives one Classification, or a 1-D
+    array of them, which gives a list: one elementwise recursion runs all
+    of them, and no member's result depends on the others.
     """
     if algo not in ("II", "IV"):
         raise ValueError(f"unknown two-point algorithm {algo!r}")
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
-    c, d = 1.0, float(x)
-    hist = np.empty((steps + 1, 2))
-    hist[0] = c, d
-    for k in range(steps):
-        if algo == "II":
-            c, d = _two_point_step_tight(c, d, eps)
-        else:
-            c, d = _two_point_step_dual(c, d, x, eps)
-        if not np.isfinite(c) or not np.isfinite(d) or max(abs(c), abs(d)) > 1e12:
-            return Classification.UNBOUNDED
-        hist[k + 1] = c, d
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise ValueError(f"x must be a scalar or a 1-D array, got shape {xs.shape}")
+    if not (np.isfinite(xs) & (xs > 0)).all():
+        raise ValueError(f"x must be positive and finite, got {x!r}")
+    xv = xs.reshape(-1)
+    hist = np.empty((steps + 1, 2, xv.size))
+    hist[0, 0], hist[0, 1] = 1.0, xv
+    c, d = hist[0]
+    with np.errstate(all="ignore"):
+        for k in range(steps):
+            if algo == "II":
+                c, d = _two_point_step_tight(c, d, eps)
+            else:
+                c, d = _two_point_step_dual(c, d, xv, eps)
+            hist[k + 1] = c, d
+        # a member past 1e12 or non-finite at any step is unbounded
+        unbounded = ~(np.abs(hist[1:]).max(axis=1) <= 1e12).all(axis=0)
 
-    # the analytic limits hold as eps -> 0; the actual fixed points sit
-    # O(eps) away from them, hence the coarse tolerance
-    tail = hist[-50:]
-    tol = 0.05
-    settled = np.abs(tail - tail[-1]).max() < 1e-3
-    if settled and abs(c - 1) < tol:
-        if algo == "IV" and abs(d - 1 / x) < tol:
-            return Classification.INVERSE_LIMIT
-        if abs(d - 1) < tol:
-            return Classification.BOTH_TO_ONE
-        if abs(d + 1) < tol:
-            return Classification.SIGN_FLIP
-    if (tail[:, 1] < 0).all():
-        return Classification.NEGATIVE_D
-    # bounded non-convergence; past sqrt(5) the norm scaling settles into a
-    # large-amplitude sign-alternating oscillation
-    return Classification.CHAOTIC
+        # the analytic limits hold as eps -> 0; the actual fixed points sit
+        # O(eps) away from them, hence the coarse tolerance
+        tail = hist[-50:]
+        tol = 0.05
+        near_one = (np.abs(tail - tail[-1]).max(axis=(0, 1)) < 1e-3) & (np.abs(c - 1) < tol)
+        inverse = near_one & (np.abs(d - 1 / xv) < tol) & (algo == "IV")
+        # bounded non-convergence (the default, CHAOTIC): past sqrt(5) the norm
+        # scaling settles into a large-amplitude sign-alternating oscillation
+        rules = [(unbounded, Classification.UNBOUNDED),
+                 (inverse, Classification.INVERSE_LIMIT),
+                 (near_one & (np.abs(d - 1) < tol), Classification.BOTH_TO_ONE),
+                 (near_one & (np.abs(d + 1) < tol), Classification.SIGN_FLIP),
+                 ((tail[:, 1] < 0).all(axis=0), Classification.NEGATIVE_D)]
+    out = [next((cls for mask, cls in rules if mask[i]), Classification.CHAOTIC)
+           for i in range(xv.size)]
+    return out[0] if xs.ndim == 0 else out

@@ -18,6 +18,7 @@ from gabwin.iterations import (
     optimal_scaling_constant,
     tight_taylor_coeffs,
 )
+from gabwin.scalarlab import Classification, _two_point_step_dual, _two_point_step_tight
 from gabwin.windows import _remove_phase, _symmetry_score
 
 
@@ -339,3 +340,43 @@ def dense_monster_window(lattice, sigma_real=6.0):
     sigma_j = np.sqrt(eigval)
     lam_coef = sigma_real / sigma_j - 1.0
     return np.real(g + lam_coef * np.dot(v, np.real(g)) * v)
+
+
+def scalar_two_point_norm_scaled(x: float, eps: float, algo: str = "II",
+                                 steps: int = 500) -> Classification:
+    """The two-point recursion of scalarlab on one Python float x, stopping
+    at the first step past 1e12 or non-finite (x positive and finite, and
+    not so large that its powers overflow a Python float)."""
+    if algo not in ("II", "IV"):
+        raise ValueError(f"unknown two-point algorithm {algo!r}")
+    if not 0 < eps < 1:
+        raise ValueError("eps must be in (0, 1)")
+    c, d = 1.0, float(x)
+    hist = np.empty((steps + 1, 2))
+    hist[0] = c, d
+    for k in range(steps):
+        if algo == "II":
+            c, d = _two_point_step_tight(c, d, eps)
+        else:
+            c, d = _two_point_step_dual(c, d, x, eps)
+        if not np.isfinite(c) or not np.isfinite(d) or max(abs(c), abs(d)) > 1e12:
+            return Classification.UNBOUNDED
+        hist[k + 1] = c, d
+
+    # the analytic limits hold as eps -> 0; the actual fixed points sit
+    # O(eps) away from them, hence the coarse tolerance
+    tail = hist[-50:]
+    tol = 0.05
+    settled = np.abs(tail - tail[-1]).max() < 1e-3
+    if settled and abs(c - 1) < tol:
+        if algo == "IV" and abs(d - 1 / x) < tol:
+            return Classification.INVERSE_LIMIT
+        if abs(d - 1) < tol:
+            return Classification.BOTH_TO_ONE
+        if abs(d + 1) < tol:
+            return Classification.SIGN_FLIP
+    if (tail[:, 1] < 0).all():
+        return Classification.NEGATIVE_D
+    # bounded non-convergence; past sqrt(5) the norm scaling settles into a
+    # large-amplitude sign-alternating oscillation
+    return Classification.CHAOTIC

@@ -124,6 +124,19 @@ def test_window_beyond_complex64_is_not_written(tmp_path, capsys, method, target
     assert not (tmp_path / "big.window").exists()
 
 
+@pytest.mark.parametrize("method,target", [("iter:II", "tight"), ("iter:IV", "dual")])
+def test_non_positive_output_lower_bound_has_no_ratio(tmp_path, method, target):
+    # A^{gamma,gamma} is positive semidefinite: a lower bound <= 0 is roundoff
+    # of order eps B, and B/A would be meaningless
+    code = run_cli("canonical", "--method", method, "--target", target,
+                   "--scaling", "initial", "--Bhat", 0.05, "--steps", 8,
+                   "--out", tmp_path / "big")
+    assert code == 3
+    bounds = json.loads((tmp_path / "big.report.json").read_text())["result"]["frame_bounds"]
+    assert bounds["A"] <= 0 < bounds["B"]
+    assert bounds["ratio"] is None
+
+
 def _count_zak_calls(monkeypatch):
     """Count factorize and unfactorize calls in every gabwin namespace."""
     calls = {"factorize": 0, "unfactorize": 0}

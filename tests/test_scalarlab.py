@@ -3,6 +3,7 @@ import pytest
 
 import gabwin as gw
 from gabwin.scalarlab import Classification
+from oracles import scalar_two_point_norm_scaled
 
 
 def test_pointwise_tight_converges_below_threshold():
@@ -89,3 +90,65 @@ def test_two_point_rejects_bad_args():
         gw.two_point_norm_scaled(1.0, 0.5, "III")
     with pytest.raises(ValueError):
         gw.two_point_norm_scaled(1.0, 1.5, "II")
+    with pytest.raises(ValueError, match="steps"):
+        gw.two_point_norm_scaled(1.0, 1e-3, "II", steps=-1)
+
+
+def _cli_grid(xmax):
+    return np.round(np.arange(0.1, xmax + 1e-9, 0.1), 10)
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-3, 1e-2])
+@pytest.mark.parametrize("algo,xmax", [("II", 3.4), ("IV", 2.6)])
+def test_array_recursion_matches_scalar_oracle(algo, xmax, eps):
+    # the x grid of the scalar-lab experiment, one array call against one
+    # Python-scalar recursion per x
+    xs = _cli_grid(xmax)
+    want = [scalar_two_point_norm_scaled(float(x), eps, algo) for x in xs]
+    assert gw.two_point_norm_scaled(xs, eps, algo) == want
+
+
+@pytest.mark.parametrize("algo,cases", [
+    ("II", [(1.5, Classification.BOTH_TO_ONE), (1e200, Classification.UNBOUNDED),
+            (2.0, Classification.SIGN_FLIP), (3.0, Classification.CHAOTIC),
+            (0.3, Classification.BOTH_TO_ONE)]),
+    ("IV", [(2.0, Classification.NEGATIVE_D), (1.3, Classification.INVERSE_LIMIT),
+            (1e200, Classification.UNBOUNDED), (0.5, Classification.INVERSE_LIMIT)]),
+])
+def test_array_call_mixing_regimes_equals_scalar_calls(algo, cases):
+    # members are independent: neighbours in another regime, or one that
+    # overflows, change no member's classification (and leak no warning)
+    xs = np.array([x for x, _ in cases])
+    got = gw.two_point_norm_scaled(xs, 1e-3, algo)
+    assert got == [gw.two_point_norm_scaled(float(x), 1e-3, algo) for x in xs]
+    assert got == [cls for _, cls in cases]
+
+
+def test_scalar_x_returns_one_classification():
+    for x in (1.5, np.float64(1.5), np.array(1.5), 2):
+        assert isinstance(gw.two_point_norm_scaled(x, 1e-3), Classification)
+    assert gw.two_point_norm_scaled([1.5], 1e-3) == [Classification.BOTH_TO_ONE]
+    assert gw.two_point_norm_scaled(np.array([]), 1e-3) == []
+
+
+def test_two_point_overflow_is_unbounded():
+    # x**2 overflows in the first step: inf, then nan, classified unbounded
+    # with no warning
+    for algo in ("II", "IV"):
+        assert gw.two_point_norm_scaled(1e200, 1e-3, algo) is Classification.UNBOUNDED
+
+
+@pytest.mark.parametrize("algo", ["II", "IV"])
+@pytest.mark.parametrize("x", [0.0, -1.0, np.inf, -np.inf, np.nan])
+def test_two_point_rejects_x_not_positive_and_finite(algo, x):
+    # no such x has a two-point recursion: 0 divides in the IV limit test,
+    # and inf or nan poisons every step
+    with pytest.raises(ValueError, match="x must be positive and finite"):
+        gw.two_point_norm_scaled(x, 1e-3, algo)
+    with pytest.raises(ValueError, match="x must be positive and finite"):
+        gw.two_point_norm_scaled(np.array([1.5, x]), 1e-3, algo)
+
+
+def test_two_point_rejects_2d_x():
+    with pytest.raises(ValueError, match="1-D"):
+        gw.two_point_norm_scaled(np.ones((2, 2)), 1e-3)
