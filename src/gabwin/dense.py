@@ -1,12 +1,18 @@
-"""Dense synthesis-operator oracle and the scalar singular-value view.
+"""Dense synthesis operator, the fiber oracle and the scalar singular-value view.
 
-The synthesis matrix O_g holds all lattice shifts of g as columns; its
-SVD gives ground-truth canonical windows (polar decomposition and
-pseudo-inverse), and every iteration acts as a scalar recursion on its
-singular values: scalar_iteration runs the block iteration loop of
-iterations.run on 1 x 1 blocks with Gram sigma^2, so the step rules and
-scalings live in iterations alone.  Dense work is guarded to L <= 2048;
-the block path has no such limit.
+The synthesis matrix O_g holds all lattice shifts of g as columns (guarded to
+L <= DENSE_SIZE_GUARD).  Its rows in the residue class r mod M are
+G_r (x) phi_r^T, with the b x N fiber G_r[j, n] = g(r + j M - n a) and
+|phi_r|^2 = M (Walnut's representation), so S is block diagonal with blocks
+M G_r G_r* on the samples r + j M.  One batched SVD G_r = U Sigma V* gives
+the ground-truth windows there, U V* e_0 / sqrt(M) (tight) and
+U Sigma^-1 V* e_0 / M (dual), and sigma(O) = sqrt(M) sigma(G_r).  The fibers
+use no Zak transform, so they stay an independent oracle for the block
+methods; they hold L N entries, guarded to L N <= DENSE_SIZE_GUARD^2.
+
+scalar_iteration runs the block iteration loop of iterations.run on 1 x 1
+blocks with Gram sigma^2, so the step rules and scalings live in iterations
+alone.
 """
 
 from __future__ import annotations
@@ -63,35 +69,55 @@ def synthesis_matrix(g: np.ndarray, lattice: GaborLattice) -> SynthesisMatrix:
     return SynthesisMatrix(lattice=lt, entries=entries)
 
 
-def _thin_svd(g: np.ndarray, lattice: GaborLattice):
-    O = synthesis_matrix(g, lattice).entries
-    U, s, Vh = np.linalg.svd(O, full_matrices=False)
-    if s.min() < _RANK_TOL * s.max():
+def _fibers(g: np.ndarray, lattice: GaborLattice) -> np.ndarray:
+    """The (M, b, N) fiber stack G_r[j, n] = g(r + j M - n a)."""
+    lt = lattice
+    if lt.L * lt.N > DENSE_SIZE_GUARD**2:
+        raise ValueError(f"fiber size guard exceeded: L*N={lt.L * lt.N} > "
+                         f"{DENSE_SIZE_GUARD}^2={DENSE_SIZE_GUARD**2}")
+    g = np.asarray(g, dtype=complex)
+    if len(g) != lt.L:
+        raise ValueError("signal length does not match lattice")
+    r, j, n = np.ix_(np.arange(lt.M), np.arange(lt.b), np.arange(lt.N))
+    return g[(r + j * lt.M - n * lt.a) % lt.L]
+
+
+def _fiber_svd(g: np.ndarray, lattice: GaborLattice):
+    U, s, Vh = np.linalg.svd(_fibers(g, lattice), full_matrices=False)
+    if s.min() <= _RANK_TOL * s.max():  # <=: a zero window is no frame
         raise NotAFrameError("numerically not a frame")
     return U, s, Vh
 
 
+def _from_fibers(w: np.ndarray) -> np.ndarray:
+    """The signal whose sample r + j M is w[r, j, 0]."""
+    return w[..., 0].T.reshape(-1)
+
+
 def reference_tight(g: np.ndarray, lattice: GaborLattice) -> np.ndarray:
-    """Ground-truth canonical tight window from the dense polar part U V*
-    (the zero-shift column of the tight synthesis matrix is the window)."""
-    U, _, Vh = _thin_svd(g, lattice)
-    return U @ Vh[:, 0]
+    """Ground-truth canonical tight window S^(-1/2) g, U V* e_0 / sqrt(M) on
+    each fiber."""
+    U, _, Vh = _fiber_svd(g, lattice)
+    return _from_fibers(U @ Vh[..., :1]) / np.sqrt(lattice.M)
 
 
 def reference_dual(g: np.ndarray, lattice: GaborLattice) -> np.ndarray:
-    """Ground-truth canonical dual window (O_g O_g*)^(-1) g via the SVD."""
-    U, s, _ = _thin_svd(g, lattice)
-    return U @ ((U.conj().T @ np.asarray(g, dtype=complex)) / s**2)
+    """Ground-truth canonical dual window S^(-1) g, U Sigma^(-1) V* e_0 / M on
+    each fiber."""
+    U, s, Vh = _fiber_svd(g, lattice)
+    return _from_fibers(U @ (Vh[..., :1] / s[..., None])) / lattice.M
 
 
 def normalized_singular_values(g: np.ndarray, lattice: GaborLattice) -> np.ndarray:
-    """Singular values of the unit-column synthesis matrix, sigma / sqrt(MN).
+    """Singular values of the unit-column synthesis matrix, sigma / sqrt(MN),
+    in descending order: those of the fibers over sqrt(N).
 
     In these units the norm-scaled scalar recursion tracks the full block
-    iteration step for step.
+    iteration step for step.  The SVD with U and V came within 9 eps sigma_max
+    of 34-digit values on random lattices, the values-only one within 31.
     """
-    O = synthesis_matrix(g, lattice).entries
-    return np.linalg.svd(O, compute_uv=False) / np.sqrt(lattice.M * lattice.N)
+    s = np.linalg.svd(_fibers(g, lattice), full_matrices=False)[1]
+    return np.sort(s.reshape(-1))[::-1] / np.sqrt(lattice.N)
 
 
 def _scalar_gram(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

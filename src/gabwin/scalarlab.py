@@ -23,16 +23,31 @@ __all__ = [
 ]
 
 
+_ESCAPE = 1e12  # a pointwise iterand beyond this modulus is unbounded
+
+
+def _inputs(steps: int, **values: complex) -> list[np.complex128]:
+    """The named values as complex128, each finite, for steps >= 0."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    for name, z in values.items():
+        if not np.isfinite(np.complex128(z)):
+            raise ValueError(f"{name} must be finite, got {z!r}")
+    return [np.complex128(z) for z in values.values()]
+
+
 def pointwise_tight(gamma0: complex, steps: int) -> np.ndarray:
     """Iterate G -> 3/2 G - 1/2 |G|^2 G (initial-scaled tight map).
 
     Converges to exp(i arg gamma0) iff |gamma0|^2 < 3; unbounded beyond 5.
+    gamma0 must be finite and steps >= 0; an iterand beyond modulus 1e12,
+    the start included, is unbounded and freezes the rest of the trace.
     """
-    out = np.empty(steps + 1, dtype=complex)
-    out[0] = g = np.complex128(gamma0)
-    for k in range(steps):
+    (g,) = _inputs(steps, gamma0=gamma0)
+    out = np.full(steps + 1, g)
+    for k in range(steps if abs(g) <= _ESCAPE else 0):
         g = 1.5 * g - 0.5 * (g.real**2 + g.imag**2) * g
-        if not np.isfinite(g) or abs(g) > 1e12:
+        if not np.isfinite(g) or abs(g) > _ESCAPE:
             out[k + 1:] = g
             break
         out[k + 1] = g
@@ -42,14 +57,17 @@ def pointwise_tight(gamma0: complex, steps: int) -> np.ndarray:
 def pointwise_dual(gamma0: complex, G: complex, steps: int) -> np.ndarray:
     """Iterate Gam -> 2 Gam - |Gam|^2 G (initial-scaled dual map).
 
-    Converges to 1/conj(G) iff |G|^2 < 2.
+    Converges to 1/conj(G) iff |G|^2 < 2.  gamma0 and G must be finite and
+    steps >= 0; an iterand beyond modulus 1e12, the start included, is
+    unbounded and freezes the rest of the trace, inf where a step overflows
+    (|Gam|^2 G can, at |G| > 1e284).
     """
-    out = np.empty(steps + 1, dtype=complex)
-    out[0] = gam = np.complex128(gamma0)
-    G = np.complex128(G)
-    for k in range(steps):
-        gam = 2.0 * gam - (gam.real**2 + gam.imag**2) * G
-        if not np.isfinite(gam) or abs(gam) > 1e12:
+    gam, G = _inputs(steps, gamma0=gamma0, G=G)
+    out = np.full(steps + 1, gam)
+    for k in range(steps if abs(gam) <= _ESCAPE else 0):
+        with np.errstate(over="ignore"):
+            gam = 2.0 * gam - (gam.real**2 + gam.imag**2) * G
+        if not np.isfinite(gam) or abs(gam) > _ESCAPE:
             out[k + 1:] = gam
             break
         out[k + 1] = gam
@@ -113,7 +131,7 @@ def two_point_norm_scaled(x: float | np.ndarray, eps: float, algo: str = "II",
                 c, d = _two_point_step_dual(c, d, xv, eps)
             hist[k + 1] = c, d
         # a member past 1e12 or non-finite at any step is unbounded
-        unbounded = ~(np.abs(hist[1:]).max(axis=1) <= 1e12).all(axis=0)
+        unbounded = ~(np.abs(hist[1:]).max(axis=1) <= _ESCAPE).all(axis=0)
 
         # the analytic limits hold as eps -> 0; the actual fixed points sit
         # O(eps) away from them, hence the coarse tolerance

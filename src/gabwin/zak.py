@@ -132,7 +132,8 @@ class SpectralSummary:
 
     @property
     def ratio(self) -> float:
-        return self.upper / self.lower
+        """upper / lower, or inf when lower <= 0 (not a frame)."""
+        return self.upper / self.lower if self.lower > 0.0 else np.inf
 
     @property
     def is_frame(self) -> bool:

@@ -298,6 +298,20 @@ def scalar_recursion(sigmas: np.ndarray, config: IterationConfig,
     return np.array(trace)
 
 
+def dense_references(g, lattice):
+    """Canonical tight and dual windows and the unit-column singular values
+    from one thin SVD O = U Sigma V* of the dense L x MN synthesis matrix
+    (L <= 2048): U V* e_0, U Sigma^-2 U* g and sigma / sqrt(MN), in
+    descending order.  Raises NotAFrameError when sigma_min <= 1e-13 sigma_max."""
+    O = synthesis_matrix(g, lattice).entries
+    U, s, Vh = np.linalg.svd(O, full_matrices=False)
+    if s.min() <= 1e-13 * s.max():
+        raise NotAFrameError("numerically not a frame")
+    g = np.asarray(g, dtype=complex)
+    return (U @ Vh[:, 0], U @ ((U.conj().T @ g) / s**2),
+            s / np.sqrt(lattice.M * lattice.N))
+
+
 def dense_monster_window(lattice, sigma_real=6.0):
     """The MONSTER window from the dense frame operator: its eigh on C^L,
     eigenvalues grouped at 1e-10 lam_max, the top real and even projection

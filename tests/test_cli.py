@@ -97,6 +97,23 @@ def test_monster_above_dense_limit(tmp_path):
     assert (tmp_path / "mon.window").stat().st_size == 8 * 8640
 
 
+def test_ref_above_dense_limit_matches_block_methods(tmp_path, monkeypatch):
+    # L*N = 1.04M fiber entries, L = 8640 > the dense L <= 2048: the float64
+    # windows handed to the writer agree with svd (tight) and inv (dual)
+    written = []
+    save = gw.cli.save_window
+    monkeypatch.setattr("gabwin.cli.save_window",
+                        lambda path, values: (written.append(values), save(path, values)))
+    for target, method in (("tight", "ref"), ("tight", "svd"),
+                           ("dual", "ref"), ("dual", "inv")):
+        code = run_cli("canonical", "--L", 8640, "--a", 72, "--b", 80,
+                       "--window", "gauss:1", "--target", target,
+                       "--method", method, "--out", tmp_path / "c")
+        assert code == 0
+    for ref, block in (written[:2], written[2:]):
+        assert np.linalg.norm(ref - block) < 1e-13 * np.linalg.norm(block)
+
+
 def test_step_budget_exit_code(tmp_path):
     # a run that stops neither converged nor diverging writes its window
     # and report, but must not exit 0

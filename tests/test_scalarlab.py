@@ -46,6 +46,28 @@ def test_pointwise_dual_diverges_above_threshold():
     assert np.abs(seq).max() > 1e6
 
 
+@pytest.mark.parametrize("call", [
+    lambda: gw.pointwise_tight(np.inf, 5),
+    lambda: gw.pointwise_tight(complex(1.0, np.nan), 5),
+    lambda: gw.pointwise_dual(np.nan, 1.0, 5),
+    lambda: gw.pointwise_dual(1.0, np.inf, 5),
+    lambda: gw.pointwise_tight(0.5, -1),
+    lambda: gw.pointwise_dual(0.5, 0.5, -1),
+], ids=["tight-inf", "tight-nan", "dual-nan", "dual-G-inf", "tight-steps", "dual-steps"])
+def test_pointwise_rejects_bad_input(call):
+    with pytest.raises(ValueError, match="must be finite|steps must be >= 0"):
+        call()
+
+
+def test_pointwise_start_beyond_escape_is_frozen():
+    # no step is computed on a start past 1e12: 1e200 cubed would overflow
+    assert np.array_equal(gw.pointwise_tight(1e200, 5), np.full(6, 1e200 + 0j))
+    assert np.array_equal(gw.pointwise_dual(1e200, 1e200, 5), np.full(6, 1e200 + 0j))
+    assert np.array_equal(gw.pointwise_tight(2e12, 0), [2e12 + 0j])
+    # |Gam|^2 G overflows at step 1: frozen at the overflow, with no warning
+    assert np.array_equal(gw.pointwise_dual(1e6, 1e300, 3), [1e6, -np.inf, -np.inf, -np.inf])
+
+
 @pytest.mark.parametrize(
     "algo,x,expect",
     [

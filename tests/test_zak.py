@@ -200,6 +200,17 @@ def test_frame_bounds_flags_non_frame():
         assert not s.is_frame, lt
 
 
+def test_frame_bounds_ratio_is_inf_when_lower_is_not_positive(lat432):
+    # a 5-sample box misses samples 5..17 of every time step a = 18: A = 0.0
+    box = np.zeros(432, dtype=complex)
+    box[:5] = 1.0
+    fac = gw.factorize(box, lat432)
+    s = gw.frame_bounds(gw.block_gram(fac, fac))
+    assert s.lower == 0.0 and s.upper == pytest.approx(24.0)
+    assert s.ratio == np.inf and not s.is_frame
+    assert gw.SpectralSummary(lower=-1e-16, upper=1.0).ratio == np.inf
+
+
 def test_blocks_immutable(lat432, gauss432):
     fac = gw.factorize(gauss432, lat432)
     with pytest.raises(ValueError):
