@@ -29,7 +29,6 @@ from .dense import (
     normalized_singular_values,
     reference_dual,
     reference_tight,
-    scalar_iteration,
     synthesis_matrix,
 )
 from .iterations import (
@@ -39,6 +38,7 @@ from .iterations import (
     initial_scale,
     optimal_scaling_constant,
     run,
+    scalar_iteration,
     step_dual,
     step_frame_inverse,
     step_tight,

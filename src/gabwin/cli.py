@@ -31,8 +31,8 @@ from .iterations import (
 from .lattice import GaborLattice, derive_lattice
 from .scalarlab import two_point_norm_scaled
 from .windows import gaussian_window, monster_window, sech_window
-from .zak import (BlockOperator, SpectralSummary, ZakFactorization, _gram_blocks,
-                  block_gram, factorize, frame_bounds, unfactorize)
+from .zak import (SpectralSummary, ZakFactorization, block_gram, factorize, frame_bounds,
+                  unfactorize)
 
 EXIT_NOT_A_FRAME = 2
 EXIT_DIVERGED = 3
@@ -171,21 +171,7 @@ def cmd_canonical(args: argparse.Namespace) -> int:
     else:
         raise ValueError(f"unknown method {args.method!r}")
 
-    # the report comes from the output's Zak blocks: A^{gamma,gamma} gives the frame
-    # bounds, the correlations of unit-norm gamma (tight) or g, gamma (dual) the rest
-    A = _gram_blocks(out, out, lattice)
-    if args.target == "tight":
-        corr = diagnostics._gram_correlations(A, lattice) / np.linalg.norm(out) ** 2
-    else:
-        corr = diagnostics._gram_correlations(_gram_blocks(fac.blocks, out, lattice),
-                                              lattice)
-        corr /= np.linalg.norm(fac.blocks) * np.linalg.norm(out)
-    dln = diagnostics._off_origin_mass(corr)
-    # Wexler-Raz at the canonical scale, where the diagonal is 1 (tight: with itself)
-    corr = corr * lattice.density if args.target == "tight" else corr / corr[0, 0].conj()
-    corr[0, 0] -= 1.0
-    wr = float(np.abs(corr).max())
-    out_summary = frame_bounds(BlockOperator(lattice, A))
+    out_summary, dln, wr = diagnostics._report(fac.blocks, out, lattice, args.target)
     report["result"] = {
         "dual_lattice_norm": dln,
         "wexler_raz_residual": wr,
@@ -268,8 +254,7 @@ def _precision_item(lattice, w):
     summary = _frame_bounds(fac)
     trace = run(g, lattice, IterationConfig.from_algorithm("II", max_steps=40))
     def dln(x):  # of the unit-norm window whose Zak blocks are x
-        corr = diagnostics._gram_correlations(_gram_blocks(x, x, lattice), lattice)
-        return diagnostics._off_origin_mass(corr) / np.linalg.norm(x) ** 2
+        return diagnostics._off_origin_mass(diagnostics._unit_correlations(x, x, lattice))
     return [w, summary.ratio, dln(eig_tight(fac).blocks), dln(svd_tight(fac).blocks),
             dln(trace.blocks[-1]), trace.steps_taken]
 
@@ -425,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--scaling", default="norm",
                     choices=("norm", "initial", "initial-optimal",
                              "constant-optimal"))
-    pc.add_argument("--Bhat", type=float, default=None)
+    pc.add_argument("--Bhat", type=float, default=None,
+                    help="constant of --scaling initial (estimated when omitted)")
     pc.add_argument("--steps", type=int, default=40)
     pc.add_argument("--tol", type=float, default=None)
     pc.add_argument("--out", required=True,

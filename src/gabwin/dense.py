@@ -1,4 +1,4 @@
-"""Dense synthesis operator, the fiber oracle and the scalar singular-value view.
+"""Dense synthesis operator and the fiber oracle.
 
 The synthesis matrix O_g holds all lattice shifts of g as columns (guarded to
 L <= DENSE_SIZE_GUARD).  Its rows in the residue class r mod M are
@@ -7,23 +7,19 @@ G_r (x) phi_r^T, with the b x N fiber G_r[j, n] = g(r + j M - n a) and
 M G_r G_r* on the samples r + j M.  One batched SVD G_r = U Sigma V* gives
 the ground-truth windows there, U V* e_0 / sqrt(M) (tight) and
 U Sigma^-1 V* e_0 / M (dual), and sigma(O) = sqrt(M) sigma(G_r).  The fibers
-use no Zak transform, so they stay an independent oracle for the block
+use no Zak transform and this module imports nothing of the package but its
+lattice and errors, so they stay an independent oracle for the block
 methods; they hold L N entries, guarded to L N <= DENSE_SIZE_GUARD^2.
-
-scalar_iteration runs the block iteration loop of iterations.run on 1 x 1
-blocks with Gram sigma^2, so the step rules and scalings live in iterations
-alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotAFrameError
-from .iterations import IterationConfig, _iterate, _prescale
-from .lattice import GaborLattice, tf_shift
+from .lattice import GaborLattice
 
 __all__ = [
     "DENSE_SIZE_GUARD",
@@ -32,7 +28,6 @@ __all__ = [
     "reference_tight",
     "reference_dual",
     "normalized_singular_values",
-    "scalar_iteration",
 ]
 
 DENSE_SIZE_GUARD = 2048
@@ -119,31 +114,3 @@ def normalized_singular_values(g: np.ndarray, lattice: GaborLattice) -> np.ndarr
     s = np.linalg.svd(_fibers(g, lattice), full_matrices=False)[1]
     return np.sort(s.reshape(-1))[::-1] / np.sqrt(lattice.N)
 
-
-def _scalar_gram(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return X * Y.conj()
-
-
-def scalar_iteration(sigmas: np.ndarray, config: IterationConfig,
-                     steps: int | None = None) -> np.ndarray:
-    """Run an iteration as a scalar recursion on singular values.
-
-    This is the block iteration of ``run`` on 1 x 1 blocks: sigma viewed as
-    (n, 1, 1, 1) blocks with Gram sigma^2, for exactly ``steps`` steps
-    (default ``config.max_steps``).  Returns the (steps+1, n) trace of sigma
-    vectors; a run that diverges (an iterand whose norm is not finite) is
-    frozen at the iterand before.  Norm
-    scaling is scale-invariant in the input; for initial scaling pass raw
-    singular values (so sigma^2 is the frame-operator spectrum) and an
-    explicit Bhat.  Computations stay in the input dtype, so longdouble
-    input gives an extended-precision trace.
-    """
-    if config.scaling == "initial" and config.Bhat is None:
-        raise ValueError("initial scaling of a scalar run needs an explicit Bhat")
-    steps = config.max_steps if steps is None else steps
-    config = replace(config, stop_mode="fixed", max_steps=steps, tol=None)
-    sig = _prescale(np.asarray(sigmas).reshape(-1, 1, 1, 1), config, _scalar_gram,
-                    config.Bhat)
-    # fixed steps stop early only on a non-finite iterand: freeze at the last one
-    trace = [blocks.reshape(-1) for blocks in _iterate(sig, config, _scalar_gram)[0]]
-    return np.array(trace + trace[-1:] * (steps + 1 - len(trace)))

@@ -1,6 +1,8 @@
 """Error measures: adjoint-lattice correlations, dual lattice norms,
 Wexler-Raz residual, Kantorovich-type window bounds, Z-operator bounds,
-and convergence-order estimation.
+and convergence-order estimation.  Every rule that turns Zak blocks into a
+reported number lives here: the spectrum by target, the correlations of
+unit-norm windows and the canonical report.
 
 The adjoint lattice of (a, b) on C^L consists of the shifts
 (j * L/b, l * L/a), j in [0, b), l in [0, a).  All correlation sums carry
@@ -16,7 +18,8 @@ import warnings
 import numpy as np
 
 from .lattice import GaborLattice
-from .zak import SpectralSummary, ZakFactorization, _eigvals, _gram_blocks, factorize
+from .zak import (BlockOperator, SpectralSummary, ZakFactorization, _eigvals, _gram_blocks,
+                  _hermitian_eigvals, factorize, frame_bounds)
 
 __all__ = [
     "adjoint_correlations",
@@ -50,9 +53,40 @@ def _gram_correlations(A: np.ndarray, lattice: GaborLattice) -> np.ndarray:
 
 
 def _off_origin_mass(c: np.ndarray) -> float:
-    """Sum of |c[j, l]| over the adjoint lattice without the origin."""
+    """Sum of |c[j, l]| off the origin.  The origin is zeroed: subtracting it
+    from the total would round the sum to a multiple of ulp(|c[0, 0]|)."""
     c = np.abs(c)
-    return float(c.sum() - c[0, 0])
+    c[0, 0] = 0.0
+    return float(c.sum())
+
+
+def _unit_correlations(X: np.ndarray, Y: np.ndarray, lattice: GaborLattice,
+                       A: np.ndarray | None = None) -> np.ndarray:
+    """Adjoint correlations of the unit-norm windows whose Zak blocks are X
+    and Y: those of their Gram blocks A (computed when not given), which are
+    linear in A, over ||X|| ||Y||, or ||X||^2 when Y is X."""
+    if A is None:
+        A = _gram_blocks(X, Y, lattice)
+    norm = np.linalg.norm(X)
+    return _gram_correlations(A, lattice) / (norm ** 2 if Y is X else
+                                             norm * np.linalg.norm(Y))
+
+
+def _report(g_blocks: np.ndarray, gamma_blocks: np.ndarray, lattice: GaborLattice,
+            target: str) -> tuple[SpectralSummary, float, float]:
+    """Frame bounds of A^{gamma,gamma}, the dual lattice norm of unit-norm
+    gamma (tight) or g, gamma (dual), and the Wexler-Raz residual at the
+    canonical scale, where the diagonal is 1: gamma with itself times the
+    density (tight), g with gamma over conj(c[0, 0]) (dual)."""
+    A = _gram_blocks(gamma_blocks, gamma_blocks, lattice)
+    if target == "tight":
+        corr = _unit_correlations(gamma_blocks, gamma_blocks, lattice, A)
+    else:
+        corr = _unit_correlations(g_blocks, gamma_blocks, lattice)
+    dln = _off_origin_mass(corr)
+    corr = corr * lattice.density if target == "tight" else corr / corr[0, 0].conj()
+    corr[0, 0] -= 1.0
+    return frame_bounds(BlockOperator(lattice, A)), dln, float(np.abs(corr).max())
 
 
 def adjoint_correlations(f: np.ndarray, h: np.ndarray, lattice: GaborLattice) -> np.ndarray:
@@ -109,16 +143,20 @@ def kantorovich_bound_dual(R: float) -> float:
     return (1.0 - R ** 0.5) * np.sqrt(2.0 / (1.0 + R))
 
 
-def _z_spectrum(blocks: np.ndarray) -> SpectralSummary:
-    """Extremal eigenvalue moduli of the Z-operator blocks, with the largest
-    |imag| / |eig| kept in max_imag_ratio instead of warned about.
+def _spectrum(A: np.ndarray, target: str) -> SpectralSummary:
+    """Frame bounds (tight) or Z-bounds (dual) of the Gram blocks A.
 
-    The blocks are not Hermitian.  At p <= 2 their eigenvalues are taken in
-    closed form (the block itself at p = 1; at p = 2 the trace/determinant
-    root of larger modulus and det over it, on the block scaled by a power
-    of two), at p >= 3 from LAPACK.
+    Z-bounds are the extremal eigenvalue moduli of the blocks, with the
+    largest |imag| / |eig| kept in max_imag_ratio instead of warned about.
+    Those blocks are not Hermitian.  At p <= 2 their eigenvalues are taken
+    in closed form (the block itself at p = 1; at p = 2 the
+    trace/determinant root of larger modulus and det over it, on the block
+    scaled by a power of two), at p >= 3 from LAPACK.
     """
-    ev = _eigvals(blocks)
+    if target == "tight":
+        ev = _hermitian_eigvals(A)
+        return SpectralSummary(lower=float(ev.min()), upper=float(ev.max()))
+    ev = _eigvals(A)
     mod = np.abs(ev)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(mod > 0, np.abs(ev.imag) / np.maximum(mod, 1e-300), 0.0)
@@ -137,7 +175,7 @@ def z_bounds(fac_g: ZakFactorization, fac_gamma: ZakFactorization) -> SpectralSu
     """
     if fac_g.lattice != fac_gamma.lattice:
         raise ValueError("lattice mismatch")
-    summary = _z_spectrum(_gram_blocks(fac_g.blocks, fac_gamma.blocks, fac_g.lattice))
+    summary = _spectrum(_gram_blocks(fac_g.blocks, fac_gamma.blocks, fac_g.lattice), "dual")
     if summary.max_imag_ratio > 1e-6:
         warnings.warn(
             f"Z-operator blocks have complex spectrum (imag ratio "

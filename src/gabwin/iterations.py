@@ -15,13 +15,14 @@ Z^(2r) gamma = (S S_k)^r gamma and Z^(2r+1) gamma = (S S_k)^r S_k g.
 
 One loop (_iterate, after _prescale) holds the step rules, the scalings and
 the stopping rule; run() builds its trace from the iterands' blocks and
-unfactorizes only the last, dense.scalar_iteration runs the loop on 1 x 1
-blocks of singular values.  Norms stay in the input dtype.
+unfactorizes only the last, scalar_iteration runs the loop on 1 x 1 blocks
+of singular values.  Norms stay in the input dtype.  Spectra and dual
+lattice norms follow the rules of diagnostics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 
@@ -31,15 +32,7 @@ from . import diagnostics
 from .canonical import cholesky_solve_blocks, inv_dual, svd_tight
 from .errors import NotAFrameError
 from .lattice import GaborLattice
-from .zak import (
-    SpectralSummary,
-    ZakFactorization,
-    _block_product,
-    _gram_blocks,
-    _hermitian_eigvals,
-    factorize,
-    unfactorize,
-)
+from .zak import ZakFactorization, _block_product, _gram_blocks, factorize, unfactorize
 
 __all__ = [
     "EPS",
@@ -56,6 +49,7 @@ __all__ = [
     "step_dual",
     "step_frame_inverse",
     "run",
+    "scalar_iteration",
     "flop_estimate",
 ]
 
@@ -169,9 +163,11 @@ class IterationConfig:
 
     ``order`` is the envisaged convergence order m >= 2 of the Taylor
     polynomial; ``inverse=True`` selects algorithm I instead (tight target,
-    norm scaling only).  ``stop_mode``: "auto" stops at the relative-step
-    threshold, ``tol`` when given and else eps^(1/m), or on divergence;
-    "fixed" always runs ``max_steps`` steps and takes no ``tol``.
+    norm scaling only).  ``Bhat`` is the constant of initial scaling (an
+    estimate when None); other scalings take none.  ``stop_mode``: "auto"
+    stops at the relative-step threshold, ``tol`` when given and else
+    eps^(1/m), or on divergence; "fixed" always runs ``max_steps`` steps and
+    takes no ``tol``.
     """
 
     target: str = "tight"
@@ -205,6 +201,8 @@ class IterationConfig:
         if self.max_steps < 0:
             raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
         _checked_Bhat(self.Bhat)
+        if self.Bhat is not None and self.scaling != "initial":
+            raise ValueError(f"scaling {self.scaling!r} takes no Bhat")
 
     @classmethod
     def from_algorithm(cls, name: str, **kwargs) -> "IterationConfig":
@@ -340,55 +338,24 @@ class IterationTrace:
     def bounds(self) -> list:
         # post-convergence divergence legitimately leaves the orbit; the
         # departure is kept in bounds[k].max_imag_ratio, not warned about
-        return [_spectrum(A, self.config.target) for A in self._grams]
+        return [diagnostics._spectrum(A, self.config.target) for A in self._grams]
 
     @cached_property
     def dual_lattice_norms(self) -> list:
-        g_norm, norms = np.linalg.norm(self.blocks[0]), []
-        for blocks, A in zip(self.blocks, self._grams):
-            norm = np.linalg.norm(blocks)
-            scale = norm ** 2 if self.config.target == "tight" else g_norm * norm
-            # correlations are linear in A, so dividing by the norms gives the
-            # dual lattice norm of the normalized iterand (and normalized g)
-            norms.append(float(diagnostics._off_origin_mass(
-                diagnostics._gram_correlations(A, self.lattice)) / scale))
-        return norms
+        g, tight = self.blocks[0], self.config.target == "tight"
+        return [diagnostics._off_origin_mass(diagnostics._unit_correlations(
+                    b if tight else g, b, self.lattice, A))
+                for b, A in zip(self.blocks, self._grams)]
 
 
-class _DivergenceDetector:
-    """Flags a run whose relative step grows for 3 consecutive steps after
-    having decreased at least once.
-
-    Growth only counts beyond a 1.2x margin: true divergence multiplies the
-    step by >= 2 each iteration, while the plateau phase of badly
-    conditioned (but convergent) runs wobbles by fractions of a percent and
-    must not trip the detector.
-    """
-
-    GROWTH_MARGIN = 1.2
-
-    def __init__(self):
-        self.prev = None
-        self.decreased = False
-        self.growth = 0
-
-    def update(self, rel: float) -> bool:
-        if self.prev is not None:
-            if rel < self.prev:
-                self.decreased = True
-                self.growth = 0
-            elif self.decreased:
-                self.growth = self.growth + 1 if rel > self.GROWTH_MARGIN * self.prev else 0
-        self.prev = rel
-        return self.growth >= 3
-
-
-def _spectrum(A: np.ndarray, target: str) -> SpectralSummary:
-    """Frame bounds (tight) or Z-bounds (dual) of the Gram blocks A."""
-    if target == "dual":
-        return diagnostics._z_spectrum(A)
-    ev = _hermitian_eigvals(A)
-    return SpectralSummary(lower=float(ev.min()), upper=float(ev.max()))
+def _diverging(rel_steps: list) -> bool:
+    """Whether the relative step grew by more than 1.2x on each of the last
+    3 steps, after a decrease before them.  True divergence multiplies the
+    step by >= 2 a step; the margin spares the plateau of badly conditioned
+    (but convergent) runs, which wobbles by fractions of a percent."""
+    r = rel_steps
+    return (len(r) >= 5 and all(r[i] > 1.2 * r[i - 1] for i in (-3, -2, -1))
+            and any(r[i] < r[i - 1] for i in range(1, len(r) - 3)))
 
 
 def _prescale(g_blocks: np.ndarray, config: IterationConfig, gram, Bhat) -> np.ndarray:
@@ -398,7 +365,7 @@ def _prescale(g_blocks: np.ndarray, config: IterationConfig, gram, Bhat) -> np.n
     squared norm of that window underflows, as every bound would."""
     finfo = np.finfo(g_blocks.dtype)
     if config.scaling == "initial_optimal":
-        bounds = _spectrum(gram(g_blocks, g_blocks), "tight")
+        bounds = diagnostics._spectrum(gram(g_blocks, g_blocks), "tight")
         if not bounds.is_frame:
             raise NotAFrameError("not a frame: cannot compute optimal scaling")
         Bhat = optimal_scaling_constant(bounds.lower, bounds.upper, config.algorithm_name)
@@ -419,7 +386,7 @@ def _iterate(g_blocks: np.ndarray, config: IterationConfig, gram):
     reuses A^{g,g}.  Only constant_optimal reads a spectrum, that of
     A^{gamma,gamma} (tight) or A^{g,gamma} (dual).  Returns the blocks of
     every iterand (g_blocks first), the relative steps that led to them, and
-    why it stopped: "converged", "diverging" (the detector fired),
+    why it stopped: "converged", "diverging" (see _diverging),
     "non_finite" (the next iterand's norm is not finite or is zero; it is
     not kept), or with the budget used up "oscillating" (a two-cycle:
     gamma_k within 1e-8 of gamma_{k-2}, steps above threshold) or "budget".
@@ -427,13 +394,13 @@ def _iterate(g_blocks: np.ndarray, config: IterationConfig, gram):
     real = np.finfo(g_blocks.dtype).dtype.type
     tight = config.target == "tight"
     norm_scaled = config.scaling == "norm"
-    detector = _DivergenceDetector()
     blocks, iterands, rel_steps = g_blocks, [g_blocks], []
     Agg = None if tight else gram(g_blocks, g_blocks)
     for _ in range(config.max_steps):
         A = gram(blocks, blocks) if tight else None
         if config.scaling == "constant_optimal":
-            bounds = _spectrum(A if tight else gram(g_blocks, blocks), config.target)
+            bounds = diagnostics._spectrum(A if tight else gram(g_blocks, blocks),
+                                           config.target)
             const = real(optimal_scaling_constant(bounds.lower, bounds.upper,
                                                   config.algorithm_name))
             if tight:
@@ -461,7 +428,7 @@ def _iterate(g_blocks: np.ndarray, config: IterationConfig, gram):
             continue
         if rel < config.step_threshold:
             return iterands, rel_steps, "converged"
-        if detector.update(rel):
+        if _diverging(rel_steps):
             return iterands, rel_steps, "diverging"
     if len(iterands) >= 3:
         cyc = np.linalg.norm(iterands[-1] - iterands[-3]) / np.linalg.norm(iterands[-1])
@@ -488,6 +455,34 @@ def run(g: np.ndarray, lattice: GaborLattice, config: IterationConfig) -> Iterat
         config, lattice, blocks, rel_steps, errors,
         unfactorize(ZakFactorization(lattice, blocks[-1])), reason,
         wrong_limit=reason not in ("oscillating", "budget") and errors[-1] > 1e-6)
+
+
+def _scalar_gram(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    return X * Y.conj()
+
+
+def scalar_iteration(sigmas: np.ndarray, config: IterationConfig,
+                     steps: int | None = None) -> np.ndarray:
+    """Run an iteration as a scalar recursion on singular values.
+
+    This is the block iteration of ``run`` on 1 x 1 blocks: sigma viewed as
+    (n, 1, 1, 1) blocks with Gram sigma^2, for exactly ``steps`` steps
+    (default ``config.max_steps``).  Returns the (steps+1, n) trace of sigma
+    vectors; a run that diverges (an iterand whose norm is not finite) is
+    frozen at the iterand before.  Norm scaling is scale-invariant in the
+    input; for initial scaling pass raw singular values (so sigma^2 is the
+    frame-operator spectrum) and an explicit Bhat.  Computations stay in the
+    input dtype, so longdouble input gives an extended-precision trace.
+    """
+    if config.scaling == "initial" and config.Bhat is None:
+        raise ValueError("initial scaling of a scalar run needs an explicit Bhat")
+    steps = config.max_steps if steps is None else steps
+    config = replace(config, stop_mode="fixed", max_steps=steps, tol=None)
+    sig = _prescale(np.asarray(sigmas).reshape(-1, 1, 1, 1), config, _scalar_gram,
+                    config.Bhat)
+    # fixed steps stop early only on a non-finite iterand: freeze at the last one
+    trace = [blocks.reshape(-1) for blocks in _iterate(sig, config, _scalar_gram)[0]]
+    return np.array(trace + trace[-1:] * (steps + 1 - len(trace)))
 
 
 # ---------------------------------------------------------------------------

@@ -394,3 +394,26 @@ def scalar_two_point_norm_scaled(x: float, eps: float, algo: str = "II",
     # bounded non-convergence; past sqrt(5) the norm scaling settles into a
     # large-amplitude sign-alternating oscillation
     return Classification.CHAOTIC
+
+
+class DivergenceDetector:
+    """The divergence rule of iterations._diverging, fed one relative step
+    at a time: flags a run whose relative step grows beyond a 1.2x margin
+    for 3 consecutive steps after having decreased at least once."""
+
+    GROWTH_MARGIN = 1.2
+
+    def __init__(self):
+        self.prev = None
+        self.decreased = False
+        self.growth = 0
+
+    def update(self, rel: float) -> bool:
+        if self.prev is not None:
+            if rel < self.prev:
+                self.decreased = True
+                self.growth = 0
+            elif self.decreased:
+                self.growth = self.growth + 1 if rel > self.GROWTH_MARGIN * self.prev else 0
+        self.prev = rel
+        return self.growth >= 3

@@ -222,6 +222,16 @@ def test_bad_step_budget_or_tolerance_exit_code(tmp_path, capsys, option):
     assert not (tmp_path / "x.window").exists()
 
 
+@pytest.mark.parametrize("scaling", ["norm", "initial-optimal", "constant-optimal"])
+def test_Bhat_with_another_scaling_exit_code(tmp_path, capsys, scaling):
+    # a Bhat the run would ignore is an input error, not a silent no-op
+    code = run_cli("canonical", "--scaling", scaling, "--Bhat", 1e9,
+                   "--out", tmp_path / "x")
+    assert code == 1
+    assert "takes no Bhat" in capsys.readouterr().err
+    assert not (tmp_path / "x.window").exists()
+
+
 def test_seed_option_removed(tmp_path):
     with pytest.raises(SystemExit):
         run_cli("canonical", "--seed", 5, "--out", tmp_path / "x")

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings
@@ -127,6 +130,18 @@ def test_fibers_match_dense_oracle(seed, sech, w):
     assert rel(gw.reference_dual(g, lt), dual) < 1e-13
     assert np.abs(gw.normalized_singular_values(g, lt) - sig).max() <= 1e-14 * sig[0]
     assert gw.wexler_raz_residual(g, gw.reference_dual(g, lt), lt) < 1e-12
+
+
+def test_dense_imports_no_method_of_the_package():
+    # the fiber oracle checks the block methods, so it may use none of them
+    tree = ast.parse(Path(gw.dense.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported.add(node.module)  # None for "from . import x"
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and "gabwin" in ast.unparse(node):
+            imported.add(ast.unparse(node))
+    assert imported == {"errors", "lattice"}
 
 
 def test_scalar_flat_spectrum_one_step():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gabwin as gw
+from gabwin.diagnostics import _off_origin_mass
 
 from oracles import adjoint_correlations_fft, dense_operator_norm, shift_mod
 
@@ -93,6 +94,15 @@ def test_wexler_raz_methods_agree(lat432, gauss432, ref_dual432):
     r1 = gw.wexler_raz_residual(gauss432, gd_block, lat432)
     r2 = gw.wexler_raz_residual(gauss432, ref_dual432, lat432)
     assert abs(r1 - r2) < 1e-9
+
+
+def test_off_origin_mass_keeps_entries_below_the_origin_ulp():
+    # subtracting the origin from the whole sum would leave 2.2e-16, one
+    # ulp of 4/3, instead of the 323 off-origin entries of 1e-18
+    c = np.full((18, 18), 1e-18)
+    c[0, 0] = 4 / 3
+    assert _off_origin_mass(c) == pytest.approx(323e-18, rel=1e-12, abs=0)
+    assert c[0, 0] == 4 / 3
 
 
 def test_kantorovich_endpoints():

@@ -1,15 +1,20 @@
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gabwin as gw
 from gabwin.errors import NotAFrameError
-from gabwin.iterations import EPS, IterationConfig, _DivergenceDetector, flop_estimate
+from gabwin.iterations import EPS, IterationConfig, _diverging, flop_estimate
 
-from oracles import scalar_recursion, taylor_inv_coeffs, taylor_inv_sqrt_coeffs
+from oracles import DivergenceDetector, scalar_recursion, taylor_inv_coeffs, \
+    taylor_inv_sqrt_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +286,13 @@ def test_config_rejects_bad_step_budget_and_tolerance(kwargs):
         IterationConfig.from_algorithm("II", **kwargs)
 
 
+@pytest.mark.parametrize("scaling", ["norm", "initial_optimal", "constant_optimal"])
+def test_config_rejects_Bhat_it_would_ignore(scaling):
+    # only initial scaling divides by Bhat
+    with pytest.raises(ValueError, match=f"scaling '{scaling}' takes no Bhat"):
+        IterationConfig.from_algorithm("II", scaling=scaling, Bhat=1e9)
+
+
 def test_run_II_converges_fast(lat432, gauss432, ref_tight432):
     trace = gw.run(gauss432, lat432, IterationConfig.from_algorithm("II"))
     assert trace.stop_reason == "converged" and trace.steps_taken <= 7
@@ -471,7 +483,7 @@ def test_run_computes_no_unread_diagnostics(name, monkeypatch, lat432, gauss432)
         raise RuntimeError("unread diagnostic computed")
 
     monkeypatch.setattr("gabwin.diagnostics._gram_correlations", refuse)
-    monkeypatch.setattr("gabwin.iterations._spectrum", refuse)
+    monkeypatch.setattr("gabwin.diagnostics._spectrum", refuse)
     trace = gw.run(gauss432, lat432, IterationConfig.from_algorithm(name))
     assert trace.steps_taken > 0 and trace.final.shape == (432,)
     assert trace.errors[-1] < 1e-10 and not trace.wrong_limit
@@ -569,16 +581,48 @@ def test_monster_run_stops_with_large_dual_lattice_norm(lat600, monster600):
     assert trace.stop_reason == "diverging" and trace.wrong_limit
 
 
+_DETECTOR_SEQUENCES = ((0.5, 0.3, 0.1, 0.2, 0.3, 0.4), (0.1, 0.2, 0.3, 0.4, 0.5),
+                       (0.5, 0.30, 0.301, 0.302, 0.303, 0.304))
+
+
+def _prefix_verdicts(rel_steps):
+    return [_diverging(list(rel_steps[:k])) for k in range(1, len(rel_steps) + 1)]
+
+
 def test_divergence_detector():
-    det = _DivergenceDetector()
-    fired = [det.update(r) for r in (0.5, 0.3, 0.1, 0.2, 0.3, 0.4)]
+    fired = _prefix_verdicts(_DETECTOR_SEQUENCES[0])
     assert fired == [False, False, False, False, False, True]
     # never decreased: no flag
-    det = _DivergenceDetector()
-    assert not any(det.update(r) for r in (0.1, 0.2, 0.3, 0.4, 0.5))
+    assert not any(_prefix_verdicts(_DETECTOR_SEQUENCES[1]))
     # sub-margin wobble on a plateau must not trip it
-    det = _DivergenceDetector()
-    assert not any(det.update(r) for r in (0.5, 0.30, 0.301, 0.302, 0.303, 0.304))
+    assert not any(_prefix_verdicts(_DETECTOR_SEQUENCES[2]))
+
+
+# step factors: equal steps, exactly the 1.2x margin, plateau wobble, halving,
+# doubling, and anything in between; the pool of step values repeats values
+# and holds zero and the exact 1.2x pairs (0.1, 0.12) and (0.3, 0.36)
+_FACTORS = st.one_of(st.sampled_from([1.0, 1.2, 1.001, 0.999, 0.5, 2.0]),
+                     st.floats(0.2, 4.0))
+_STEP_SEQUENCES = st.one_of(
+    st.tuples(st.floats(1e-12, 1.0), st.lists(_FACTORS, max_size=30)).map(
+        lambda t: list(accumulate(t[1], mul, initial=t[0]))),
+    st.lists(st.sampled_from([0.0, 0.1, 0.12, 0.3, 0.36, 0.5]), max_size=30))
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(_STEP_SEQUENCES)
+@example(list(_DETECTOR_SEQUENCES[0]))
+@example(list(_DETECTOR_SEQUENCES[1]))
+@example(list(_DETECTOR_SEQUENCES[2]))
+def test_divergence_predicate_matches_detector_oracle(rel_steps):
+    # on every prefix up to the first firing the predicate on the kept
+    # relative steps agrees with the stateful detector it replaced
+    det = DivergenceDetector()
+    for k, rel in enumerate(rel_steps, start=1):
+        fired = det.update(rel)
+        assert _diverging(rel_steps[:k]) == fired
+        if fired:
+            break
 
 
 def test_detector_spares_converging_badly_conditioned_dual(lat432):
