@@ -113,4 +113,3 @@ def normalized_singular_values(g: np.ndarray, lattice: GaborLattice) -> np.ndarr
     """
     s = np.linalg.svd(_fibers(g, lattice), full_matrices=False)[1]
     return np.sort(s.reshape(-1))[::-1] / np.sqrt(lattice.N)
-
