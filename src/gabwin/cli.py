@@ -215,7 +215,7 @@ def exp_convergence(args, lattice, g):
 def exp_scaling_compare(args, lattice, g):
     strategies = [
         ("norm", {}),
-        ("initial", {"Bhat": upper_frame_bound_estimate(g, lattice)}),
+        ("initial", {}),
         ("initial_optimal", {}),
         ("constant_optimal", {}),
     ]
@@ -316,16 +316,23 @@ _FIBONACCI = ((2, 3, 216, 12, 12), (3, 5, 540, 18, 18),
 
 def tune_width_to_ratio(lattice: GaborLattice, target_ratio: float,
                         lo: float = 1.0, hi: float = 40.0) -> float:
-    """Bisect the Gaussian width until the frame bound ratio matches."""
+    """Bisect the Gaussian width in [lo, hi] until the frame bound ratio
+    matches.  ValueError when the finite ratios of the bracket miss it: lo
+    never moved, or hi never moved or sits where the window is no frame."""
     def ratio(w):
         g = gaussian_window(lattice.L, w).astype(complex)
         return _frame_bounds(factorize(g, lattice)).ratio
+    lo0, hi0, ratio_hi = lo, hi, np.inf
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if ratio(mid) < target_ratio:
+        r = ratio(mid)
+        if r < target_ratio:
             lo = mid
         else:
-            hi = mid
+            hi, ratio_hi = mid, r
+    if lo == lo0 or ratio_hi == np.inf:
+        raise ValueError(f"frame bound ratio {target_ratio} is not reached by "
+                         f"Gaussian widths in [{lo0}, {hi0}]")
     return 0.5 * (lo + hi)
 
 

@@ -66,7 +66,7 @@ def _unit_correlations(X: np.ndarray, Y: np.ndarray, lattice: GaborLattice,
     and Y: those of their Gram blocks A (computed when not given), which are
     linear in A, over ||X|| ||Y||, or ||X||^2 when Y is X."""
     if A is None:
-        A = _gram_blocks(X, Y, lattice)
+        A = _gram_blocks(X, Y)
     norm = np.linalg.norm(X)
     return _gram_correlations(A, lattice) / (norm ** 2 if Y is X else
                                              norm * np.linalg.norm(Y))
@@ -78,7 +78,7 @@ def _report(g_blocks: np.ndarray, gamma_blocks: np.ndarray, lattice: GaborLattic
     gamma (tight) or g, gamma (dual), and the Wexler-Raz residual at the
     canonical scale, where the diagonal is 1: gamma with itself times the
     density (tight), g with gamma over conj(c[0, 0]) (dual)."""
-    A = _gram_blocks(gamma_blocks, gamma_blocks, lattice)
+    A = _gram_blocks(gamma_blocks, gamma_blocks)
     if target == "tight":
         corr = _unit_correlations(gamma_blocks, gamma_blocks, lattice, A)
     else:
@@ -102,8 +102,7 @@ def adjoint_correlations(f: np.ndarray, h: np.ndarray, lattice: GaborLattice) ->
 
     with t = floor((k - j)/p), computed in O(c d p^2 log d + a b log a).
     """
-    A = _gram_blocks(factorize(f, lattice).blocks, factorize(h, lattice).blocks,
-                     lattice)
+    A = _gram_blocks(factorize(f, lattice).blocks, factorize(h, lattice).blocks)
     return _gram_correlations(A, lattice)
 
 
@@ -175,7 +174,7 @@ def z_bounds(fac_g: ZakFactorization, fac_gamma: ZakFactorization) -> SpectralSu
     """
     if fac_g.lattice != fac_gamma.lattice:
         raise ValueError("lattice mismatch")
-    summary = _spectrum(_gram_blocks(fac_g.blocks, fac_gamma.blocks, fac_g.lattice), "dual")
+    summary = _spectrum(_gram_blocks(fac_g.blocks, fac_gamma.blocks), "dual")
     if summary.max_imag_ratio > 1e-6:
         warnings.warn(
             f"Z-operator blocks have complex spectrum (imag ratio "

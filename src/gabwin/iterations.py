@@ -14,17 +14,19 @@ Powers of Z_k never require a square root thanks to
 Z^(2r) gamma = (S S_k)^r gamma and Z^(2r+1) gamma = (S S_k)^r S_k g.
 
 One loop (_iterate, after _prescale) holds the step rules, the scalings and
-the stopping rule; run() builds its trace from the iterands' blocks and
-unfactorizes only the last, scalar_iteration runs the loop on 1 x 1 blocks
-of singular values.  Norms stay in the input dtype.  Spectra and dual
-lattice norms follow the rules of diagnostics.
+the stopping rule; run() keeps the iterands' blocks and unfactorizes only
+the last, scalar_iteration runs the loop on a batch of 1 x 1 blocks of
+singular values.  Every other number of a trace, the errors against the
+direct reference included, is computed from the kept blocks when read.
+Norms stay in the input dtype.  Spectra and dual lattice norms follow the
+rules of diagnostics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -135,7 +137,7 @@ def upper_frame_bound_estimate(g: np.ndarray, lattice: GaborLattice) -> float:
     representation: the total adjoint-correlation mass of g.  Equals 1
     exactly when g is a canonical tight window."""
     fac = factorize(g, lattice)
-    return _upper_frame_bound(_gram_blocks(fac.blocks, fac.blocks, lattice), lattice)
+    return _upper_frame_bound(_gram_blocks(fac.blocks, fac.blocks), lattice)
 
 
 def _upper_frame_bound(A: np.ndarray, lattice: GaborLattice) -> float:
@@ -246,8 +248,8 @@ def _tight_step_blocks(blocks, A, order, norm_scaled):
     return _combine(tight_taylor_coeffs(order), terms, norm_scaled)
 
 
-def _dual_step_blocks(blocks, g_blocks, Agg, gram, order, norm_scaled):
-    A = gram(blocks, blocks)
+def _dual_step_blocks(blocks, g_blocks, Agg, order, norm_scaled):
+    A = _gram_blocks(blocks, blocks)
     terms = [blocks, _block_product(A, g_blocks)]
     while len(terms) < order:
         terms.append(_block_product(Agg, _block_product(A, terms[-2])))
@@ -265,7 +267,7 @@ def _inverse_step_blocks(blocks, A):
 def step_tight(fac: ZakFactorization, order: int = 2, scaling: str = "norm") -> ZakFactorization:
     """One tight-window step gamma -> sum_j a_mj S^j gamma (scaled terms
     under norm scaling, raw polynomial otherwise)."""
-    A = _gram_blocks(fac.blocks, fac.blocks, fac.lattice)
+    A = _gram_blocks(fac.blocks, fac.blocks)
     out = _tight_step_blocks(fac.blocks, A, order, scaling == "norm")
     return ZakFactorization(fac.lattice, out)
 
@@ -276,15 +278,14 @@ def step_dual(fac: ZakFactorization, fac_g: ZakFactorization, order: int = 2,
     window g held fixed across steps."""
     if fac.lattice != fac_g.lattice:
         raise ValueError("lattice mismatch")
-    gram = partial(_gram_blocks, lattice=fac.lattice)
-    out = _dual_step_blocks(fac.blocks, fac_g.blocks, gram(fac_g.blocks, fac_g.blocks),
-                            gram, order, scaling == "norm")
+    Agg = _gram_blocks(fac_g.blocks, fac_g.blocks)
+    out = _dual_step_blocks(fac.blocks, fac_g.blocks, Agg, order, scaling == "norm")
     return ZakFactorization(fac.lattice, out)
 
 
 def step_frame_inverse(fac: ZakFactorization) -> ZakFactorization:
     """One algorithm-I step 0.5 gamma/||gamma|| + 0.5 S^-1 gamma/||S^-1 gamma||."""
-    A = _gram_blocks(fac.blocks, fac.blocks, fac.lattice)
+    A = _gram_blocks(fac.blocks, fac.blocks)
     return ZakFactorization(fac.lattice, _inverse_step_blocks(fac.blocks, A))
 
 
@@ -295,26 +296,26 @@ def step_frame_inverse(fac: ZakFactorization) -> ZakFactorization:
 class IterationTrace:
     """Record of a run, which keeps the blocks of every iterand.
 
-    ``blocks[k]`` holds the Zak blocks of gamma_k (gamma_0 is the
-    prescaled window g).  Computed by run(): ``rel_steps[k]``,
-    ||gamma_{k+1} - gamma_k|| / ||gamma_{k+1}||; ``errors[k]``, the
-    normalized gamma_k's distance to the normalized reference, on the
-    blocks; ``final``, the last iterand as a signal; ``stop_reason`` (see
-    _iterate); and ``wrong_limit``.  Computed from the blocks when first
-    read: ``iterands[k]``, gamma_k as a signal; ``bounds[k]``, (A_k, B_k)
-    for tight targets and the Z-bounds (E_k, F_k) for dual ones; and
-    ``dual_lattice_norms[k]``, that of the normalized gamma_k (against the
-    normalized g for dual targets).  The last two share one Gram per iterand.
+    run() fills the fields: ``blocks[k]``, the Zak blocks of gamma_k
+    (gamma_0 is the prescaled window g); ``rel_steps[k]``,
+    ||gamma_{k+1} - gamma_k|| / ||gamma_{k+1}||; ``final``, the last
+    iterand as a signal; and ``stop_reason`` (see _iterate).  Everything
+    else is computed from the blocks when first read: ``errors[k]``, the
+    normalized gamma_k's distance to the normalized reference (svd_tight or
+    inv_dual of gamma_0), on the blocks; ``wrong_limit``, a converged or
+    diverging run whose last error exceeds 1e-6; ``iterands[k]``, gamma_k as
+    a signal; ``bounds[k]``, (A_k, B_k) for tight targets and the Z-bounds
+    (E_k, F_k) for dual ones; and ``dual_lattice_norms[k]``, that of the
+    normalized gamma_k (against the normalized g for dual targets).  The
+    last two share one Gram per iterand.
     """
 
     config: IterationConfig
     lattice: GaborLattice
     blocks: list
     rel_steps: list
-    errors: list
     final: np.ndarray
     stop_reason: str
-    wrong_limit: bool = False
 
     @property
     def steps_taken(self) -> int:
@@ -325,6 +326,18 @@ class IterationTrace:
         return self.stop_reason == "converged"
 
     @cached_property
+    def errors(self) -> list:
+        solve = svd_tight if self.config.target == "tight" else inv_dual
+        reference = solve(ZakFactorization(self.lattice, self.blocks[0])).blocks
+        reference = reference / np.linalg.norm(reference)
+        return [float(np.linalg.norm(b / np.linalg.norm(b) - reference))
+                for b in self.blocks]
+
+    @property
+    def wrong_limit(self) -> bool:
+        return self.stop_reason not in ("oscillating", "budget") and self.errors[-1] > 1e-6
+
+    @cached_property
     def iterands(self) -> list:
         return [unfactorize(ZakFactorization(self.lattice, b)) for b in self.blocks]
 
@@ -332,7 +345,7 @@ class IterationTrace:
     def _grams(self) -> list:
         """A^{gamma,gamma} (tight) or A^{g,gamma} (dual) of every iterand."""
         g, tight = self.blocks[0], self.config.target == "tight"
-        return [_gram_blocks(b if tight else g, b, self.lattice) for b in self.blocks]
+        return [_gram_blocks(b if tight else g, b) for b in self.blocks]
 
     @cached_property
     def bounds(self) -> list:
@@ -358,14 +371,14 @@ def _diverging(rel_steps: list) -> bool:
             and any(r[i] < r[i - 1] for i in range(1, len(r) - 3)))
 
 
-def _prescale(g_blocks: np.ndarray, config: IterationConfig, gram, Bhat) -> np.ndarray:
+def _prescale(g_blocks: np.ndarray, config: IterationConfig, Bhat) -> np.ndarray:
     """The window the iteration starts from: g / Bhat^(1/2) (initial), g over
     the root of the optimal constant of its frame bounds (initial_optimal),
-    else g.  gram(X, Y) gives Gram blocks.  Raises ValueError when the
-    squared norm of that window underflows, as every bound would."""
+    else g.  Raises ValueError when the squared norm of that window
+    underflows, as every bound would."""
     finfo = np.finfo(g_blocks.dtype)
     if config.scaling == "initial_optimal":
-        bounds = diagnostics._spectrum(gram(g_blocks, g_blocks), "tight")
+        bounds = diagnostics._spectrum(_gram_blocks(g_blocks, g_blocks), "tight")
         if not bounds.is_frame:
             raise NotAFrameError("not a frame: cannot compute optimal scaling")
         Bhat = optimal_scaling_constant(bounds.lower, bounds.upper, config.algorithm_name)
@@ -378,28 +391,27 @@ def _prescale(g_blocks: np.ndarray, config: IterationConfig, gram, Bhat) -> np.n
     return g_blocks
 
 
-def _iterate(g_blocks: np.ndarray, config: IterationConfig, gram):
+def _iterate(g_blocks: np.ndarray, config: IterationConfig):
     """Iterate from the (prescaled) window g_blocks to the stopping rule.
 
-    gram(X, Y) gives the Gram blocks of X and Y.  A tight step reuses the
-    Gram A^{gamma,gamma} of its iterand, a dual step builds its own and
-    reuses A^{g,g}.  Only constant_optimal reads a spectrum, that of
-    A^{gamma,gamma} (tight) or A^{g,gamma} (dual).  Returns the blocks of
-    every iterand (g_blocks first), the relative steps that led to them, and
-    why it stopped: "converged", "diverging" (see _diverging),
-    "non_finite" (the next iterand's norm is not finite or is zero; it is
-    not kept), or with the budget used up "oscillating" (a two-cycle:
-    gamma_k within 1e-8 of gamma_{k-2}, steps above threshold) or "budget".
+    A tight step reuses the Gram A^{gamma,gamma} of its iterand, a dual step
+    builds its own and reuses A^{g,g}.  Only constant_optimal reads a
+    spectrum, that of A^{gamma,gamma} (tight) or A^{g,gamma} (dual).  Returns
+    the blocks of every iterand (g_blocks first), the relative steps that led
+    to them, and why it stopped: "converged", "diverging" (see _diverging),
+    "non_finite" (the next iterand's norm is not finite or is zero; it is not
+    kept), or with the budget used up "oscillating" (a two-cycle: gamma_k
+    within 1e-8 of gamma_{k-2}, steps above threshold) or "budget".
     """
     real = np.finfo(g_blocks.dtype).dtype.type
     tight = config.target == "tight"
     norm_scaled = config.scaling == "norm"
     blocks, iterands, rel_steps = g_blocks, [g_blocks], []
-    Agg = None if tight else gram(g_blocks, g_blocks)
+    Agg = None if tight else _gram_blocks(g_blocks, g_blocks)
     for _ in range(config.max_steps):
-        A = gram(blocks, blocks) if tight else None
+        A = _gram_blocks(blocks, blocks) if tight else None
         if config.scaling == "constant_optimal":
-            bounds = diagnostics._spectrum(A if tight else gram(g_blocks, blocks),
+            bounds = diagnostics._spectrum(A if tight else _gram_blocks(g_blocks, blocks),
                                            config.target)
             const = real(optimal_scaling_constant(bounds.lower, bounds.upper,
                                                   config.algorithm_name))
@@ -414,8 +426,7 @@ def _iterate(g_blocks: np.ndarray, config: IterationConfig, gram):
             elif tight:
                 new = _tight_step_blocks(blocks, A, config.order, norm_scaled)
             else:
-                new = _dual_step_blocks(blocks, g_blocks, Agg, gram, config.order,
-                                        norm_scaled)
+                new = _dual_step_blocks(blocks, g_blocks, Agg, config.order, norm_scaled)
             new_norm = np.linalg.norm(new)
             if not np.isfinite(new_norm) or new_norm == 0.0:
                 return iterands, rel_steps, "non_finite"
@@ -440,25 +451,12 @@ def _iterate(g_blocks: np.ndarray, config: IterationConfig, gram):
 def run(g: np.ndarray, lattice: GaborLattice, config: IterationConfig) -> IterationTrace:
     """Run an iteration to the configured stopping rule and record it."""
     fac0 = factorize(g, lattice)
-    gram = partial(_gram_blocks, lattice=lattice)
     Bhat = config.Bhat
     if config.scaling == "initial" and Bhat is None:
-        Bhat = _upper_frame_bound(gram(fac0.blocks, fac0.blocks), lattice)
-    g_blocks = _prescale(fac0.blocks, config, gram, Bhat)
-    solve = svd_tight if config.target == "tight" else inv_dual
-    reference = solve(ZakFactorization(lattice, g_blocks)).blocks
-    reference = reference / np.linalg.norm(reference)
-
-    blocks, rel_steps, reason = _iterate(g_blocks, config, gram)
-    errors = [float(np.linalg.norm(b / np.linalg.norm(b) - reference)) for b in blocks]
-    return IterationTrace(
-        config, lattice, blocks, rel_steps, errors,
-        unfactorize(ZakFactorization(lattice, blocks[-1])), reason,
-        wrong_limit=reason not in ("oscillating", "budget") and errors[-1] > 1e-6)
-
-
-def _scalar_gram(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return X * Y.conj()
+        Bhat = _upper_frame_bound(_gram_blocks(fac0.blocks, fac0.blocks), lattice)
+    blocks, rel_steps, reason = _iterate(_prescale(fac0.blocks, config, Bhat), config)
+    return IterationTrace(config, lattice, blocks, rel_steps,
+                          unfactorize(ZakFactorization(lattice, blocks[-1])), reason)
 
 
 def scalar_iteration(sigmas: np.ndarray, config: IterationConfig,
@@ -466,10 +464,10 @@ def scalar_iteration(sigmas: np.ndarray, config: IterationConfig,
     """Run an iteration as a scalar recursion on singular values.
 
     This is the block iteration of ``run`` on 1 x 1 blocks: sigma viewed as
-    (n, 1, 1, 1) blocks with Gram sigma^2, for exactly ``steps`` steps
-    (default ``config.max_steps``).  Returns the (steps+1, n) trace of sigma
-    vectors; a run that diverges (an iterand whose norm is not finite) is
-    frozen at the iterand before.  Norm scaling is scale-invariant in the
+    a batch of n (1, 1, 1, 1) blocks with Gram sigma^2, for exactly ``steps``
+    steps (default ``config.max_steps``).  Returns the (steps+1, n) trace of
+    sigma vectors; a run that diverges (an iterand whose norm is not finite)
+    is frozen at the iterand before.  Norm scaling is scale-invariant in the
     input; for initial scaling pass raw singular values (so sigma^2 is the
     frame-operator spectrum) and an explicit Bhat.  Computations stay in the
     input dtype, so longdouble input gives an extended-precision trace.
@@ -478,10 +476,9 @@ def scalar_iteration(sigmas: np.ndarray, config: IterationConfig,
         raise ValueError("initial scaling of a scalar run needs an explicit Bhat")
     steps = config.max_steps if steps is None else steps
     config = replace(config, stop_mode="fixed", max_steps=steps, tol=None)
-    sig = _prescale(np.asarray(sigmas).reshape(-1, 1, 1, 1), config, _scalar_gram,
-                    config.Bhat)
+    sig = _prescale(np.asarray(sigmas).reshape(-1, 1, 1, 1, 1), config, config.Bhat)
     # fixed steps stop early only on a non-finite iterand: freeze at the last one
-    trace = [blocks.reshape(-1) for blocks in _iterate(sig, config, _scalar_gram)[0]]
+    trace = [blocks.reshape(-1) for blocks in _iterate(sig, config)[0]]
     return np.array(trace + trace[-1:] * (steps + 1 - len(trace)))
 
 

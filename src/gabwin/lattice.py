@@ -33,11 +33,6 @@ class GaborLattice:
     q: int
 
     @property
-    def redundancy(self) -> float:
-        """Oversampling factor q/p = L/(a*b)."""
-        return self.q / self.p
-
-    @property
     def density(self) -> float:
         """Lattice density a*b/L = p/q."""
         return self.p / self.q

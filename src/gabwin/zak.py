@@ -197,17 +197,18 @@ def unfactorize(fac: ZakFactorization) -> np.ndarray:
     return f.reshape(lt.L)
 
 
-def _gram_blocks(X: np.ndarray, Y: np.ndarray, lattice: GaborLattice) -> np.ndarray:
-    """Gram blocks cdq X Y* (..., p, p) of (..., p, q) blocks, in the input
-    dtype.  At p <= 2 entry (k, m) is the q-term sum of X[..., k, l]
-    conj(Y[..., m, l]) over the (c, d) plane, the upper triangle only when
-    X is Y, so A is exactly Hermitian.  At p >= 3 einsum runs: p^2 q ufunc
-    calls cost more at small c d, and its unfused products keep the bits."""
+def _gram_blocks(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Gram blocks cdq X Y* (..., c, d, p, p) of (..., c, d, p, q) blocks, in
+    the input dtype; leading axes are a batch.  At p <= 2 entry (k, m) is the
+    q-term sum of X[..., k, l] conj(Y[..., m, l]) over the (c, d) plane, the
+    upper triangle only when X is Y, so A is exactly Hermitian.  At p >= 3
+    einsum runs: p^2 q ufunc calls cost more at small c d, and its unfused
+    products keep the bits."""
     # cdq restores the frame-operator normalization on unitary factorizations
-    cdq = lattice.c * lattice.d * lattice.q
-    p, q = X.shape[-2:]
+    c, d, p, q = X.shape[-4:]
+    cdq = c * d * q
     if p > 2:
-        return cdq * np.einsum("rskl,rsml->rskm", X, Y.conj())
+        return cdq * np.einsum("...kl,...ml->...km", X, Y.conj())
     herm = X is Y
 
     def term(k, m, l):
@@ -234,7 +235,7 @@ def _block_product(op: np.ndarray, X: np.ndarray) -> np.ndarray:
     einsum runs (see _gram_blocks)."""
     p, q = X.shape[-2:]
     if p > 2:
-        return np.einsum("rskm,rsml->rskl", op, X)
+        return np.einsum("...km,...ml->...kl", op, X)
     out = np.empty(X.shape, dtype=np.result_type(op, X))
     for k in range(p):
         for l in range(q):
@@ -252,9 +253,7 @@ def block_gram(fac_f: ZakFactorization, fac_h: ZakFactorization) -> BlockOperato
     """
     if fac_f.lattice != fac_h.lattice:
         raise ValueError("lattice mismatch")
-    return BlockOperator(
-        fac_f.lattice, _gram_blocks(fac_f.blocks, fac_h.blocks, fac_f.lattice)
-    )
+    return BlockOperator(fac_f.lattice, _gram_blocks(fac_f.blocks, fac_h.blocks))
 
 
 def apply_block_operator(op: BlockOperator, fac: ZakFactorization) -> ZakFactorization:

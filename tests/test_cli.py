@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import gabwin as gw
-from gabwin.cli import main
+from gabwin.cli import main, tune_width_to_ratio
 
 
 def run_cli(*argv):
@@ -338,6 +338,21 @@ def test_experiment_precision(tmp_path):
         assert by_w[w] == pytest.approx(by_w[round(1 / w, 10)], rel=1e-9)
 
 
+def test_experiment_precision_solves_one_svd_per_width(tmp_path, monkeypatch):
+    # the svd_err column takes one SVD a width; the iteration's trace never
+    # reads its errors, so it solves no reference of its own
+    calls = []
+
+    def counted(fac):
+        calls.append(fac.lattice)
+        return gw.svd_tight(fac)
+
+    monkeypatch.setattr("gabwin.cli.svd_tight", counted)
+    monkeypatch.setattr("gabwin.iterations.svd_tight", counted)
+    assert run_cli("experiment", "precision", "--out", tmp_path / "prec.csv") == 0
+    assert len(calls) == 17
+
+
 def test_experiment_iterations_vs_ratio(tmp_path):
     out = tmp_path / "its.csv"
     code = run_cli("experiment", "iterations-vs-ratio", "--out", out)
@@ -358,6 +373,26 @@ def test_experiment_fibonacci(tmp_path):
     assert len(rows) == 4
     assert len({r[7] for r in rows}) == 1  # steps_I identical
     assert len({r[8] for r in rows}) == 1  # steps_II identical
+
+
+@pytest.mark.parametrize("ratio", ["0.5", "1.0", "nan", "inf", "1e300"])
+def test_experiment_fibonacci_ratio_outside_bracket(tmp_path, capsys, ratio):
+    # below the ratio of w = 1, above every finite ratio of the bracket, or nan
+    out = tmp_path / "fib.csv"
+    code = run_cli("experiment", "fibonacci", "--ratio", ratio, "--out", out)
+    assert code == 1
+    assert "is not reached by Gaussian widths" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tune_width_to_ratio_brackets_the_target():
+    lattice = gw.derive_lattice(216, 12, 12)
+    w = tune_width_to_ratio(lattice, 3.0)
+    fac = gw.factorize(gw.gaussian_window(216, w).astype(complex), lattice)
+    assert gw.frame_bounds(gw.block_gram(fac, fac)).ratio == pytest.approx(3.0, rel=1e-12)
+    for ratio in (0.5, 1.0, np.nan, np.inf, 1e300):
+        with pytest.raises(ValueError, match="not reached"):
+            tune_width_to_ratio(lattice, ratio)
 
 
 def test_non_finite_window_file_exit_code(tmp_path, capsys):

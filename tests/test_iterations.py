@@ -495,6 +495,28 @@ def test_run_computes_no_unread_diagnostics(name, monkeypatch, lat432, gauss432)
 
 
 @pytest.mark.parametrize("name", ["II", "IV"])
+def test_run_solves_no_reference(name, monkeypatch, lat432, gauss432):
+    # the direct reference is solved from blocks[0] when errors is first read
+    def refuse(*args):
+        raise RuntimeError("reference solved")
+
+    monkeypatch.setattr("gabwin.iterations.svd_tight", refuse)
+    monkeypatch.setattr("gabwin.iterations.inv_dual", refuse)
+    config = IterationConfig.from_algorithm(name)
+    trace = gw.run(gauss432, lat432, config)
+    assert trace.steps_taken > 0 and trace.stop_reason == "converged"
+    assert trace.final.shape == (432,)
+    for field in ("errors", "wrong_limit"):
+        with pytest.raises(RuntimeError, match="reference solved"):
+            getattr(trace, field)
+    monkeypatch.undo()
+    fresh = gw.run(gauss432, lat432, config)
+    assert trace.steps_taken == fresh.steps_taken
+    assert np.array_equal(trace.final, fresh.final)
+    assert trace.errors == fresh.errors and trace.wrong_limit is fresh.wrong_limit is False
+
+
+@pytest.mark.parametrize("name", ["II", "IV"])
 def test_run_unfactorizes_only_the_final_iterand(name, monkeypatch, lat432, gauss432):
     # the errors are taken on the blocks; the signal iterands are built when read
     calls = {"factorize": 0, "unfactorize": 0}
@@ -519,9 +541,9 @@ def test_trace_builds_each_gram_once(name, monkeypatch, lat432, gauss432):
     trace = gw.run(gauss432, lat432, IterationConfig.from_algorithm(name))
     calls = []
 
-    def counted(X, Y, lattice):
-        calls.append(lattice)
-        return gw.zak._gram_blocks(X, Y, lattice)
+    def counted(X, Y):
+        calls.append(X.shape)
+        return gw.zak._gram_blocks(X, Y)
 
     monkeypatch.setattr("gabwin.iterations._gram_blocks", counted)
     assert trace.bounds and trace.dual_lattice_norms

@@ -65,7 +65,7 @@ def _lattice_blocks(L, a, b):
     G = gw.factorize(gw.gaussian_window(L, 0.5).astype(complex), lt)
     H = gw.factorize(gw.sech_window(L, 2.0).astype(complex), lt)
     R = gw.factorize(rng.standard_normal(L) + 1j * rng.standard_normal(L), lt)
-    return lt, [_gram_blocks(X.blocks, Y.blocks, lt) for X, Y in ((G, G), (H, H), (G, R))]
+    return lt, [_gram_blocks(X.blocks, Y.blocks) for X, Y in ((G, G), (H, H), (G, R))]
 
 
 @pytest.mark.parametrize("L,a,b", LATTICES)

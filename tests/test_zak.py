@@ -316,7 +316,7 @@ def test_kernels_equal_einsum_oracle_at_p_above_2(lab):
     lt, G, R, A = _kernel_inputs(*lab, seed=3)
     assert lt.p >= 3
     for X, Y in ((G, G), (R, R), (G, R)):
-        assert np.array_equal(_gram_blocks(X, Y, lt), einsum_gram(X, Y, lt))
+        assert np.array_equal(_gram_blocks(X, Y), einsum_gram(X, Y, lt))
     for X in (G, R):
         assert np.array_equal(_block_product(A, X), einsum_block_product(A, X))
 
@@ -329,7 +329,7 @@ def test_kernels_match_einsum_oracle_at_p_le_2():
         lt, G, R, A = _kernel_inputs(L, a, b, seed=i)
         for X, Y in ((G, G), (R, R), (G, R), (R, G)):
             bound = 4 * EPS * einsum_gram(np.abs(X), np.abs(Y), lt)
-            err = np.abs(_gram_blocks(X, Y, lt) - einsum_gram(X, Y, lt))
+            err = np.abs(_gram_blocks(X, Y) - einsum_gram(X, Y, lt))
             assert (err <= bound).all(), (L, a, b)
         for op in (A, einsum_gram(G, R, lt)):
             for X in (G, R):
@@ -352,12 +352,29 @@ def test_kernels_keep_clongdouble(lab):
     lt, G, R, A = _kernel_inputs(*lab, seed=5)
     Gl, Rl, Al = (x.astype(np.clongdouble) for x in (G, R, A))
     for X, Y in ((Gl, Gl), (Gl, Rl)):
-        gram = _gram_blocks(X, Y, lt)
+        gram = _gram_blocks(X, Y)
         assert gram.dtype == np.clongdouble
         assert np.allclose(gram, einsum_gram(X, Y, lt), rtol=0, atol=1e-14)
     product = _block_product(Al, Rl)
     assert product.dtype == np.clongdouble
     assert np.allclose(product, einsum_block_product(A, R), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("lab,p", [((240, 12, 10), 1), ((600, 20, 20), 2),
+                                   ((432, 18, 18), 3)])
+def test_kernels_take_a_leading_batch_axis(lab, p):
+    # blocks stacked on a leading member axis give each member's Gram and
+    # product bit for bit; the normalization cdq comes from the block shape
+    lt, G, R, _ = _kernel_inputs(*lab, seed=7)
+    assert lt.p == p
+    H = gw.factorize(gw.sech_window(lab[0]).astype(complex), lt).blocks
+    X, Y = np.stack((G, R, H)), np.stack((R, H, G))
+    grams = [_gram_blocks(x, y) for x, y in zip(X, Y)]
+    assert np.array_equal(_gram_blocks(X, Y), np.stack(grams))
+    assert np.array_equal(_gram_blocks(X, X), np.stack([_gram_blocks(x, x) for x in X]))
+    ops = np.stack(grams)
+    assert np.array_equal(_block_product(ops, X),
+                          np.stack([_block_product(op, x) for op, x in zip(ops, X)]))
 
 
 def test_kernels_call_einsum_only_at_p_above_2(monkeypatch):
