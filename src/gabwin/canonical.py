@@ -105,28 +105,41 @@ def cholesky_solve_blocks(op_blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve A X = B per block for Hermitian positive definite A
     (Cholesky factorization A = L L* followed by two substitutions).
 
-    Each substitution step finishes one row of X and updates the rows
-    after it, in every block at once, so the p forward and p backward
-    steps make no per-block LAPACK call.
+    The factorization finishes one column of L in every block at once,
+    from the lower triangle of A, and so does each substitution step with
+    one row of X, so no step makes a per-block LAPACK call.  L keeps a real
+    diagonal l_jj, the root of Re a_jj - sum_k |l_jk|^2, so both
+    substitutions divide by reals; numpy divides complex by real through
+    the reciprocal, so multiplying by 1 / l_jj gives the same bits.  A
+    pivot that is not positive, or is NaN, raises NotAFrameError.  The
+    input dtype and layout are kept.
     """
-    if op_blocks.shape[-1] == 1:  # the 1 x 1 factor is sqrt(Re a), 0 if Re a <= 0
-        low = np.sqrt(np.maximum(op_blocks.real, 0.0))
-    else:
-        try:
-            low = np.linalg.cholesky(hermitian_part(op_blocks))
-        except np.linalg.LinAlgError as exc:
-            raise NotAFrameError(f"not a frame: {exc}") from exc
-    # potrf fails on a pivot that is not positive or is NaN; OpenBLAS passes
-    # a NaN through, and a NaN anywhere in a block reaches a later pivot
-    if not (np.diagonal(low, axis1=-2, axis2=-1).real > 0).all():
-        raise NotAFrameError("not a frame: Matrix is not positive definite")
-    x = np.array(rhs, dtype=np.result_type(low, rhs))
-    for j in range(low.shape[-1]):  # L Y = B
-        x[..., j, :] /= low[..., j, j, None]
-        x[..., j + 1:, :] -= low[..., j + 1:, j, None] * x[..., j, None, :]
-    for j in reversed(range(low.shape[-1])):  # L* X = Y
-        x[..., j, :] /= low[..., j, j, None].conj()
-        x[..., :j, :] -= low[..., j, :j, None].conj() * x[..., j, None, :]
+    p = op_blocks.shape[-1]
+    # L strictly below its diagonal: columns 0 .. p-2, none at p = 1
+    low = np.empty_like(op_blocks, shape=op_blocks.shape[:-1] + (p - 1,))
+    recip = []  # 1 / l_jj
+    for j in range(p):
+        row = low[..., j, :j]
+        pivot = op_blocks[..., j, j].real
+        if j:
+            pivot = pivot - (row.real ** 2 + row.imag ** 2).sum(axis=-1)
+        if not (pivot > 0).all():
+            raise NotAFrameError("not a frame: frame operator block not positive definite")
+        recip.append(1 / np.sqrt(pivot)[..., None])
+        if j < p - 1:
+            col = op_blocks[..., j + 1:, j]
+            for k in range(j):
+                col = col - low[..., j + 1:, k] * row[..., k, None].conj()
+            np.multiply(col, recip[j], out=low[..., j + 1:, j])
+    x = np.array(rhs, dtype=np.result_type(op_blocks, rhs))
+    for j in range(p):  # L Y = B
+        x[..., j, :] *= recip[j]
+        if j < p - 1:
+            x[..., j + 1:, :] -= low[..., j + 1:, j, None] * x[..., j, None, :]
+    for j in reversed(range(p)):  # L* X = Y
+        x[..., j, :] *= recip[j]
+        if j:
+            x[..., :j, :] -= low[..., j, :j, None].conj() * x[..., j, None, :]
     return x
 
 

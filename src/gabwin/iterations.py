@@ -16,10 +16,15 @@ Z^(2r) gamma = (S S_k)^r gamma and Z^(2r+1) gamma = (S S_k)^r S_k g.
 One loop (_iterate, after _prescale) holds the step rules, the scalings and
 the stopping rule; run() keeps the iterands' blocks and unfactorizes only
 the last, scalar_iteration runs the loop on a batch of 1 x 1 blocks of
-singular values.  Every other number of a trace, the errors against the
-direct reference included, is computed from the kept blocks when read.
-Norms stay in the input dtype.  Spectra and dual lattice norms follow the
-rules of diagnostics.
+singular values.  At p <= 2 the loop copies the start blocks once into
+planar storage (see zak), and every step is then whole-plane products, the
+Cholesky solve of algorithm I included, with no per-block LAPACK call.
+Every other number of a trace, the errors against the direct reference
+included, is computed from the kept blocks when read.  Norms stay in the
+input dtype.  A step divides blocks by a real scalar as a product with its
+reciprocal: numpy's complex division by a real computes that product, so
+the bits are the quotient's, at a fraction of its cost.  Spectra and dual
+lattice norms follow the rules of diagnostics.
 """
 
 from __future__ import annotations
@@ -237,7 +242,7 @@ class IterationConfig:
 
 def _combine(coeffs, terms, norm_scaled: bool) -> np.ndarray:
     if norm_scaled:
-        return sum(cf * T / np.linalg.norm(T) for cf, T in zip(coeffs, terms))
+        return sum(cf * T * (1 / np.linalg.norm(T)) for cf, T in zip(coeffs, terms))
     return sum(cf * T for cf, T in zip(coeffs, terms))
 
 
@@ -261,7 +266,8 @@ def _inverse_step_blocks(blocks, A):
         solved = cholesky_solve_blocks(A, blocks)
     except NotAFrameError as exc:
         raise NotAFrameError("iterand lost frame property") from exc
-    return 0.5 * blocks / np.linalg.norm(blocks) + 0.5 * solved / np.linalg.norm(solved)
+    return (0.5 * blocks * (1 / np.linalg.norm(blocks))
+            + 0.5 * solved * (1 / np.linalg.norm(solved)))
 
 
 def step_tight(fac: ZakFactorization, order: int = 2, scaling: str = "norm") -> ZakFactorization:
@@ -401,9 +407,13 @@ def _iterate(g_blocks: np.ndarray, config: IterationConfig):
     to them, and why it stopped: "converged", "diverging" (see _diverging),
     "non_finite" (the next iterand's norm is not finite or is zero; it is not
     kept), or with the budget used up "oscillating" (a two-cycle: gamma_k
-    within 1e-8 of gamma_{k-2}, steps above threshold) or "budget".
+    within 1e-8 of gamma_{k-2}, steps above threshold) or "budget".  At
+    p <= 2 the blocks are views of planar storage, shaped (..., c, d, p, q).
     """
     real = np.finfo(g_blocks.dtype).dtype.type
+    if g_blocks.shape[-2] <= 2:  # (p, q, ..., c, d) in memory: contiguous planes
+        g_blocks = np.moveaxis(np.moveaxis(g_blocks, (-2, -1), (0, 1)).copy(),
+                               (0, 1), (-2, -1))
     tight = config.target == "tight"
     norm_scaled = config.scaling == "norm"
     blocks, iterands, rel_steps = g_blocks, [g_blocks], []
@@ -416,9 +426,9 @@ def _iterate(g_blocks: np.ndarray, config: IterationConfig):
             const = real(optimal_scaling_constant(bounds.lower, bounds.upper,
                                                   config.algorithm_name))
             if tight:
-                blocks, A = blocks / np.sqrt(const), A / const
+                blocks, A = blocks * (1 / np.sqrt(const)), A * (1 / const)
             else:
-                blocks = blocks / const
+                blocks = blocks * (1 / const)
 
         with np.errstate(over="ignore", invalid="ignore"):
             if config.inverse:

@@ -18,10 +18,13 @@ blocks are the (a, N) Zak grid viewed as (p, c, q, d), times a (p, 1, q, d)
 twiddle shared by the c rows of a row block, with its p row blocks permuted
 by m and transposed.  No call builds an L-sized index or twiddle array.
 Gram blocks and block products are sums of whole (c, d)-plane products,
-entry by entry, at p <= 2.  At p >= 3 einsum computes them, because the
-p^2 q ufunc calls would cost more at small c d, and because numpy's complex
-multiply fuses its products (FMA) where einsum's loop does not, so einsum
-keeps every p >= 3 output bit for bit.
+entry by entry, at p <= 2.  Their outputs follow the layout of their block
+input, and on planar storage, (p, q, ..., c, d) in memory as the run loop
+keeps it, each plane X[..., k, l] is contiguous; the values do not depend
+on the layout.  At p >= 3 einsum computes them, because the p^2 q ufunc
+calls would cost more at small c d, and because numpy's complex multiply
+fuses its products (FMA) where einsum's loop does not, so einsum keeps
+every p >= 3 output bit for bit.
 """
 
 from __future__ import annotations
@@ -201,9 +204,10 @@ def _gram_blocks(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Gram blocks cdq X Y* (..., c, d, p, p) of (..., c, d, p, q) blocks, in
     the input dtype; leading axes are a batch.  At p <= 2 entry (k, m) is the
     q-term sum of X[..., k, l] conj(Y[..., m, l]) over the (c, d) plane, the
-    upper triangle only when X is Y, so A is exactly Hermitian.  At p >= 3
-    einsum runs: p^2 q ufunc calls cost more at small c d, and its unfused
-    products keep the bits."""
+    upper triangle only when X is Y, so A is exactly Hermitian, stored in
+    the layout of X: planar X gives planar A.  At p >= 3 einsum runs: p^2 q
+    ufunc calls cost more at small c d, and its unfused products keep the
+    bits."""
     # cdq restores the frame-operator normalization on unitary factorizations
     c, d, p, q = X.shape[-4:]
     cdq = c * d * q
@@ -216,7 +220,7 @@ def _gram_blocks(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
             return X[..., k, l].real ** 2 + X[..., k, l].imag ** 2
         return X[..., k, l] * Y[..., m, l].conj()
 
-    out = np.empty(X.shape[:-2] + (p, p), dtype=np.result_type(X, Y))
+    out = np.empty_like(X, dtype=np.result_type(X, Y), shape=X.shape[:-2] + (p, p))
     for k in range(p):
         for m in range(k if herm else 0, p):
             acc = term(k, m, 0)
@@ -231,12 +235,12 @@ def _gram_blocks(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def _block_product(op: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Blockwise products op X of (..., p, p) and (..., p, q) blocks.  At
     p <= 2 each entry is the p-term sum of op[..., k, m] X[..., m, l] over
-    the (c, d) plane, accumulated in place in the input dtype; at p >= 3
-    einsum runs (see _gram_blocks)."""
+    the (c, d) plane, accumulated in place in the input dtype and stored in
+    the layout of X; at p >= 3 einsum runs (see _gram_blocks)."""
     p, q = X.shape[-2:]
     if p > 2:
         return np.einsum("...km,...ml->...kl", op, X)
-    out = np.empty(X.shape, dtype=np.result_type(op, X))
+    out = np.empty_like(X, dtype=np.result_type(op, X))
     for k in range(p):
         for l in range(q):
             acc = np.multiply(op[..., k, 0], X[..., 0, l], out=out[..., k, l])

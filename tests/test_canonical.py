@@ -254,8 +254,8 @@ def test_cholesky_solve_blocks_rejects_indefinite(rng):
     A[2, 1, 1, 1] = -1.0
     with pytest.raises(NotAFrameError, match="not a frame"):
         cholesky_solve_blocks(A, rng.standard_normal((4, 3, 3, 2)))
-    # the closed-form 1 x 1 factor fails where LAPACK's does; a NaN, which
-    # OpenBLAS's potrf passes through, fails at every p
+    # a pivot that is not positive fails at p = 1 where LAPACK's factor does,
+    # and a NaN, which reaches a later pivot, fails at every p
     for p, bad in ((1, 0.0), (1, -1.0), (1, np.nan), (2, np.nan), (3, np.nan)):
         A = np.broadcast_to(np.eye(p, dtype=complex), (4, 3, p, p)).copy()
         A[1, 2, p - 1, 0] = bad
@@ -264,6 +264,42 @@ def test_cholesky_solve_blocks_rejects_indefinite(rng):
                 np.linalg.cholesky(A)
         with pytest.raises(NotAFrameError, match="not a frame"):
             cholesky_solve_blocks(A, rng.standard_normal((4, 3, p, 2)))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.longdouble,
+                                   np.clongdouble])
+def test_cholesky_solve_blocks_keeps_dtype(p, dtype, rng):
+    # LAPACK has no longdouble; the blockwise factor keeps its precision
+    X = rng.standard_normal((4, 3, p, p + 2)).astype(dtype)
+    B = rng.standard_normal((4, 3, p, 5)).astype(dtype)
+    if np.iscomplexobj(X):
+        X = X + 1j * rng.standard_normal(X.shape)
+        B = B + 1j * rng.standard_normal(B.shape)
+    A = X @ np.conj(np.swapaxes(X, -2, -1)) + p * np.eye(p)
+    out = cholesky_solve_blocks(A, B)
+    assert out.dtype == dtype
+    assert np.abs(A @ out - B).max() <= 64 * np.finfo(dtype).eps * np.abs(B).max()
+
+
+def test_cholesky_solve_blocks_at_p_1_divides_by_the_root_of_re_a(rng):
+    # bit for bit the former closed form: l = sqrt(Re a), X = (B / l) / l
+    a = rng.uniform(0.1, 10.0, (40, 30, 1, 1)) + 1j * rng.uniform(-1, 1, (40, 30, 1, 1))
+    B = rng.standard_normal((40, 30, 1, 7)) + 1j * rng.standard_normal((40, 30, 1, 7))
+    root = np.sqrt(a.real)
+    assert np.array_equal(cholesky_solve_blocks(a, B), B / root / root)
+
+
+def test_cholesky_solve_blocks_accepts_planar_blocks(rng):
+    X = rng.standard_normal((6, 5, 2, 3)) + 1j * rng.standard_normal((6, 5, 2, 3))
+    A = X @ np.conj(np.swapaxes(X, -2, -1))
+
+    def planar(Y):
+        return np.moveaxis(np.moveaxis(Y, (-2, -1), (0, 1)).copy(), (0, 1), (-2, -1))
+
+    out = cholesky_solve_blocks(planar(A), planar(X))
+    assert np.array_equal(out, cholesky_solve_blocks(A, X))
+    assert np.moveaxis(out, (-2, -1), (0, 1)).flags.c_contiguous
 
 
 def test_direct_methods_reject_non_frame():

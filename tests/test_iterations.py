@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import gabwin as gw
 from gabwin.errors import NotAFrameError
-from gabwin.iterations import EPS, IterationConfig, _diverging, flop_estimate
+from gabwin.iterations import EPS, IterationConfig, _combine, _diverging, flop_estimate
 
 from oracles import DivergenceDetector, scalar_recursion, taylor_inv_coeffs, \
     taylor_inv_sqrt_coeffs
@@ -548,6 +548,46 @@ def test_trace_builds_each_gram_once(name, monkeypatch, lat432, gauss432):
     monkeypatch.setattr("gabwin.iterations._gram_blocks", counted)
     assert trace.bounds and trace.dual_lattice_norms
     assert len(calls) == trace.steps_taken + 1
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
+def test_norm_scaled_terms_are_quotients_bit_for_bit(dtype, rng):
+    # a term times the reciprocal of its norm is numpy's complex quotient
+    terms = [(rng.standard_normal((6, 5, 2, 3)) + 1j * rng.standard_normal((6, 5, 2, 3)))
+             .astype(dtype) * 10.0 ** e for e in (-100, 0, 100)]
+    coeffs = gw.tight_taylor_coeffs(3)
+    quotients = sum(cf * T / np.linalg.norm(T) for cf, T in zip(coeffs, terms))
+    assert np.array_equal(_combine(coeffs, terms, True), quotients)
+
+
+@pytest.mark.parametrize("name", ["I", "II", "III", "IV", "V"])
+def test_run_keeps_the_block_shape_of_planar_storage(name, lat600):
+    # at p <= 2 the loop iterates on planar storage, (p, q, c, d) in memory;
+    # the trace's blocks keep the shape (c, d, p, q) of ZakFactorization
+    lt = lat600
+    assert lt.p == 2
+    g = gw.gaussian_window(lt.L).astype(complex)
+    trace = gw.run(g, lt, IterationConfig.from_algorithm(name))
+    assert trace.stop_reason == "converged" and trace.errors[-1] < 1e-10
+    for blocks in trace.blocks:
+        assert blocks.shape == (lt.c, lt.d, lt.p, lt.q)
+        assert np.moveaxis(blocks, (-2, -1), (0, 1)).flags.c_contiguous
+    assert np.array_equal(gw.unfactorize(gw.ZakFactorization(lt, trace.blocks[-1])),
+                          trace.final)
+
+
+@pytest.mark.parametrize("name", ["I", "II", "III", "IV", "V"])
+def test_run_makes_no_lapack_call_at_p_2(name, monkeypatch, lat600):
+    # the Cholesky of algorithm I, and the references that errors reads,
+    # are blockwise closed forms at p = 2
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    for fn in ("cholesky", "eigh", "eigvalsh", "eigvals", "svd"):
+        monkeypatch.setattr(np.linalg, fn, refuse)
+    g = gw.gaussian_window(lat600.L).astype(complex)
+    trace = gw.run(g, lat600, IterationConfig.from_algorithm(name))
+    assert trace.stop_reason == "converged" and trace.errors[-1] < 1e-10
 
 
 def test_run_flags_a_two_cycle_as_oscillating(lat432, gauss432):

@@ -403,6 +403,34 @@ def test_kernels_call_einsum_only_at_p_above_2(monkeypatch):
                     call()
 
 
+def _planar(X):
+    """A copy of (..., c, d, p, q) blocks stored (p, q, ..., c, d)."""
+    return np.moveaxis(np.moveaxis(X, (-2, -1), (0, 1)).copy(), (0, 1), (-2, -1))
+
+
+def _is_planar(X):
+    return np.moveaxis(X, (-2, -1), (0, 1)).flags.c_contiguous
+
+
+@pytest.mark.parametrize("lab,p", [((240, 12, 10), 1), ((600, 20, 20), 2),
+                                   ((8640, 72, 80), 2)])
+def test_kernels_give_the_same_bits_on_planar_blocks(lab, p):
+    # every (k, l) plane is contiguous in planar storage; the outputs follow
+    # the layout of the blocks X
+    lt, G, R, A = _kernel_inputs(*lab, seed=11)
+    assert lt.p == p and lt.q > 1
+    PG, PR = _planar(G), _planar(R)
+    for (X, Y), (PX, PY) in (((G, G), (PG, PG)), ((R, R), (PR, PR)), ((G, R), (PG, PR))):
+        c_out, planar_out = _gram_blocks(X, Y), _gram_blocks(PX, PY)
+        assert np.array_equal(planar_out, c_out)
+        assert _is_planar(planar_out) and c_out.flags.c_contiguous
+    for op in (A, _gram_blocks(G, R)):
+        for X, PX in ((G, PG), (R, PR)):
+            c_out, planar_out = _block_product(op, X), _block_product(_planar(op), PX)
+            assert np.array_equal(planar_out, c_out)
+            assert _is_planar(planar_out) and c_out.flags.c_contiguous
+
+
 @pytest.mark.parametrize("alpha", [1e-160, 1e-200])
 @pytest.mark.parametrize("lab", [(240, 12, 10), (600, 20, 20)])
 def test_kernels_leak_no_runtime_warning_at_small_scales(alpha, lab):
