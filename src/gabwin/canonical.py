@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotAFrameError
-from .zak import ZakFactorization, _hermitian_eigvals, block_gram, hermitian_part
+from .zak import ZakFactorization, _hermitian_eigvals, _over, block_gram, hermitian_part
 
 __all__ = ["eig_tight", "svd_tight", "inv_dual", "cholesky_solve_blocks"]
 
@@ -109,15 +109,14 @@ def cholesky_solve_blocks(op_blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     from the lower triangle of A, and so does each substitution step with
     one row of X, so no step makes a per-block LAPACK call.  L keeps a real
     diagonal l_jj, the root of Re a_jj - sum_k |l_jk|^2, so both
-    substitutions divide by reals; numpy divides complex by real through
-    the reciprocal, so multiplying by 1 / l_jj gives the same bits.  A
-    pivot that is not positive, or is NaN, raises NotAFrameError.  The
-    input dtype and layout are kept.
+    substitutions divide by reals (see zak._over).  A pivot that is not
+    positive, or is NaN, raises NotAFrameError.  The input dtype and layout
+    are kept.
     """
     p = op_blocks.shape[-1]
     # L strictly below its diagonal: columns 0 .. p-2, none at p = 1
     low = np.empty_like(op_blocks, shape=op_blocks.shape[:-1] + (p - 1,))
-    recip = []  # 1 / l_jj
+    diag = []  # l_jj
     for j in range(p):
         row = low[..., j, :j]
         pivot = op_blocks[..., j, j].real
@@ -125,19 +124,19 @@ def cholesky_solve_blocks(op_blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             pivot = pivot - (row.real ** 2 + row.imag ** 2).sum(axis=-1)
         if not (pivot > 0).all():
             raise NotAFrameError("not a frame: frame operator block not positive definite")
-        recip.append(1 / np.sqrt(pivot)[..., None])
+        diag.append(np.sqrt(pivot)[..., None])
         if j < p - 1:
             col = op_blocks[..., j + 1:, j]
             for k in range(j):
                 col = col - low[..., j + 1:, k] * row[..., k, None].conj()
-            np.multiply(col, recip[j], out=low[..., j + 1:, j])
+            np.multiply(col, 1 / diag[j], out=low[..., j + 1:, j])
     x = np.array(rhs, dtype=np.result_type(op_blocks, rhs))
     for j in range(p):  # L Y = B
-        x[..., j, :] *= recip[j]
+        _over(x[..., j, :], diag[j], out=x[..., j, :])
         if j < p - 1:
             x[..., j + 1:, :] -= low[..., j + 1:, j, None] * x[..., j, None, :]
     for j in reversed(range(p)):  # L* X = Y
-        x[..., j, :] *= recip[j]
+        _over(x[..., j, :], diag[j], out=x[..., j, :])
         if j:
             x[..., :j, :] -= low[..., j, :j, None].conj() * x[..., j, None, :]
     return x

@@ -22,7 +22,12 @@ from . import diagnostics
 from .canonical import eig_tight, inv_dual, svd_tight
 from .dense import reference_dual, reference_tight
 from .errors import InvalidLatticeError, NotAFrameError
-from .iterations import IterationConfig, _upper_frame_bound, flop_estimate, run
+from .iterations import (
+    IterationConfig,
+    flop_estimate,
+    run,
+    upper_frame_bound_estimate,
+)
 from .lattice import GaborLattice, derive_lattice
 from .scalarlab import two_point_norm_scaled
 from .windows import gaussian_window, monster_window, sech_window
@@ -262,10 +267,9 @@ def exp_precision(args, lattice, g):
 
 def _numits_item(lattice, w):
     g = gaussian_window(lattice.L, w).astype(complex)
-    fac = factorize(g, lattice)
-    A = block_gram(fac, fac)  # upper_frame_bound_estimate and _frame_bounds share it
-    Bhat = _upper_frame_bound(A.blocks, lattice)
-    row = [w, frame_bounds(A).ratio]
+    Bhat = upper_frame_bound_estimate(g, lattice)
+    ratio = _frame_bounds(factorize(g, lattice)).ratio
+    row = [w, ratio]
     for name in _ALGOS:
         kwargs = {} if name == "I" else {"scaling": "initial", "Bhat": Bhat}
         trace = run(g, lattice, IterationConfig.from_algorithm(
@@ -318,20 +322,15 @@ def tune_width_to_ratio(lattice: GaborLattice, target_ratio: float,
     def ratio(w):
         g = gaussian_window(lattice.L, w).astype(complex)
         return _frame_bounds(factorize(g, lattice)).ratio
-    lo0, hi0, ratio_hi = lo, hi, None  # None: hi not evaluated yet
+    lo0, hi0, ratio_hi = lo, hi, np.inf
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        # once lo and hi are adjacent floats mid is one of them: its ratio is
-        # known, or it is lo0, which fails below either way, or an
-        # unevaluated hi0, the one width still worth evaluating
-        if mid == lo or (mid == hi and ratio_hi is not None):
-            break
         r = ratio(mid)
         if r < target_ratio:
             lo = mid
         else:
             hi, ratio_hi = mid, r
-    if lo == lo0 or ratio_hi is None or ratio_hi == np.inf:
+    if lo == lo0 or ratio_hi == np.inf:
         raise ValueError(f"frame bound ratio {target_ratio} is not reached by "
                          f"Gaussian widths in [{lo0}, {hi0}]")
     return 0.5 * (lo + hi)

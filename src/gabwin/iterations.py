@@ -16,15 +16,13 @@ Z^(2r) gamma = (S S_k)^r gamma and Z^(2r+1) gamma = (S S_k)^r S_k g.
 One loop (_iterate, after _prescale) holds the step rules, the scalings and
 the stopping rule; run() keeps the iterands' blocks and unfactorizes only
 the last, scalar_iteration runs the loop on a batch of 1 x 1 blocks of
-singular values.  At p <= 2 the loop copies the start blocks once into
-planar storage (see zak), and every step is then whole-plane products, the
+singular values.  At p = 2 the loop copies the start blocks once into
+planar storage (see zak); at p <= 2 every step is whole-plane products, the
 Cholesky solve of algorithm I included, with no per-block LAPACK call.
 Every other number of a trace, the errors against the direct reference
 included, is computed from the kept blocks when read.  Norms stay in the
-input dtype.  A step divides blocks by a real scalar as a product with its
-reciprocal: numpy's complex division by a real computes that product, so
-the bits are the quotient's, at a fraction of its cost.  Spectra and dual
-lattice norms follow the rules of diagnostics.
+input dtype.  Spectra and dual lattice norms follow the rules of
+diagnostics.
 """
 
 from __future__ import annotations
@@ -39,7 +37,8 @@ from . import diagnostics
 from .canonical import cholesky_solve_blocks, inv_dual, svd_tight
 from .errors import NotAFrameError
 from .lattice import GaborLattice
-from .zak import ZakFactorization, _block_product, _gram_blocks, factorize, unfactorize
+from .zak import (ZakFactorization, _block_product, _gram_blocks, _over, factorize,
+                  unfactorize)
 
 __all__ = [
     "EPS",
@@ -242,7 +241,7 @@ class IterationConfig:
 
 def _combine(coeffs, terms, norm_scaled: bool) -> np.ndarray:
     if norm_scaled:
-        return sum(cf * T * (1 / np.linalg.norm(T)) for cf, T in zip(coeffs, terms))
+        return sum(_over(cf * T, np.linalg.norm(T)) for cf, T in zip(coeffs, terms))
     return sum(cf * T for cf, T in zip(coeffs, terms))
 
 
@@ -266,8 +265,8 @@ def _inverse_step_blocks(blocks, A):
         solved = cholesky_solve_blocks(A, blocks)
     except NotAFrameError as exc:
         raise NotAFrameError("iterand lost frame property") from exc
-    return (0.5 * blocks * (1 / np.linalg.norm(blocks))
-            + 0.5 * solved * (1 / np.linalg.norm(solved)))
+    return (_over(0.5 * blocks, np.linalg.norm(blocks))
+            + _over(0.5 * solved, np.linalg.norm(solved)))
 
 
 def step_tight(fac: ZakFactorization, order: int = 2, scaling: str = "norm") -> ZakFactorization:
@@ -408,10 +407,12 @@ def _iterate(g_blocks: np.ndarray, config: IterationConfig):
     "non_finite" (the next iterand's norm is not finite or is zero; it is not
     kept), or with the budget used up "oscillating" (a two-cycle: gamma_k
     within 1e-8 of gamma_{k-2}, steps above threshold) or "budget".  At
-    p <= 2 the blocks are views of planar storage, shaped (..., c, d, p, q).
+    p = 2 the blocks are views of planar storage, shaped (..., c, d, p, q).
     """
     real = np.finfo(g_blocks.dtype).dtype.type
-    if g_blocks.shape[-2] <= 2:  # (p, q, ..., c, d) in memory: contiguous planes
+    # (p, q, ..., c, d) in memory: contiguous planes.  At p = 1 the copy cost
+    # more than it saved at small c d, and won nothing clear at large c d
+    if g_blocks.shape[-2] == 2:
         g_blocks = np.moveaxis(np.moveaxis(g_blocks, (-2, -1), (0, 1)).copy(),
                                (0, 1), (-2, -1))
     tight = config.target == "tight"
@@ -426,9 +427,9 @@ def _iterate(g_blocks: np.ndarray, config: IterationConfig):
             const = real(optimal_scaling_constant(bounds.lower, bounds.upper,
                                                   config.algorithm_name))
             if tight:
-                blocks, A = blocks * (1 / np.sqrt(const)), A * (1 / const)
+                blocks, A = _over(blocks, np.sqrt(const)), _over(A, const)
             else:
-                blocks = blocks * (1 / const)
+                blocks = _over(blocks, const)
 
         with np.errstate(over="ignore", invalid="ignore"):
             if config.inverse:

@@ -20,11 +20,11 @@ by m and transposed.  No call builds an L-sized index or twiddle array.
 Gram blocks and block products are sums of whole (c, d)-plane products,
 entry by entry, at p <= 2.  Their outputs follow the layout of their block
 input, and on planar storage, (p, q, ..., c, d) in memory as the run loop
-keeps it, each plane X[..., k, l] is contiguous; the values do not depend
-on the layout.  At p >= 3 einsum computes them, because the p^2 q ufunc
-calls would cost more at small c d, and because numpy's complex multiply
-fuses its products (FMA) where einsum's loop does not, so einsum keeps
-every p >= 3 output bit for bit.
+keeps it at p = 2, each plane X[..., k, l] is contiguous; the values do not
+depend on the layout.  At p >= 3 einsum computes them, because the p^2 q
+ufunc calls would cost more at small c d, and because numpy's complex
+multiply fuses its products (FMA) where einsum's loop does not, so einsum
+keeps every p >= 3 output bit for bit.
 """
 
 from __future__ import annotations
@@ -265,6 +265,16 @@ def apply_block_operator(op: BlockOperator, fac: ZakFactorization) -> ZakFactori
     if op.lattice != fac.lattice:
         raise ValueError("lattice mismatch")
     return ZakFactorization(fac.lattice, _block_product(op.blocks, fac.blocks))
+
+
+def _over(X: np.ndarray, s, out=None) -> np.ndarray:
+    """X / s for real s, into out if given.  numpy divides complex by real
+    as a product with 1 / s, so complex X takes that product: the
+    quotient's bits at a fraction of its cost.  Real X is divided, since
+    x (1 / s) can differ from x / s by an ulp."""
+    if np.iscomplexobj(X):
+        return np.multiply(X, 1 / s, out=out)
+    return np.divide(X, s, out=out)
 
 
 def hermitian_part(blocks: np.ndarray) -> np.ndarray:

@@ -417,20 +417,3 @@ class DivergenceDetector:
                 self.growth = self.growth + 1 if rel > self.GROWTH_MARGIN * self.prev else 0
         self.prev = rel
         return self.growth >= 3
-
-
-def sixty_step_bisection(ratio, target_ratio, lo, hi):
-    """cli.tune_width_to_ratio's bisection with every one of its 60 steps
-    evaluated, also those whose midpoint is already lo or hi."""
-    lo0, hi0, ratio_hi = lo, hi, np.inf
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        r = ratio(mid)
-        if r < target_ratio:
-            lo = mid
-        else:
-            hi, ratio_hi = mid, r
-    if lo == lo0 or ratio_hi == np.inf:
-        raise ValueError(f"frame bound ratio {target_ratio} is not reached by "
-                         f"Gaussian widths in [{lo0}, {hi0}]")
-    return 0.5 * (lo + hi)

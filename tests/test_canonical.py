@@ -282,10 +282,14 @@ def test_cholesky_solve_blocks_keeps_dtype(p, dtype, rng):
     assert np.abs(A @ out - B).max() <= 64 * np.finfo(dtype).eps * np.abs(B).max()
 
 
-def test_cholesky_solve_blocks_at_p_1_divides_by_the_root_of_re_a(rng):
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble, np.complex128])
+def test_cholesky_solve_blocks_at_p_1_divides_by_the_root_of_re_a(dtype, rng):
     # bit for bit the former closed form: l = sqrt(Re a), X = (B / l) / l
-    a = rng.uniform(0.1, 10.0, (40, 30, 1, 1)) + 1j * rng.uniform(-1, 1, (40, 30, 1, 1))
-    B = rng.standard_normal((40, 30, 1, 7)) + 1j * rng.standard_normal((40, 30, 1, 7))
+    a = rng.uniform(0.1, 10.0, (40, 30, 1, 1)).astype(dtype)
+    B = rng.standard_normal((40, 30, 1, 7)).astype(dtype)
+    if np.issubdtype(dtype, np.complexfloating):
+        a = a + 1j * rng.uniform(-1, 1, a.shape)
+        B = B + 1j * rng.standard_normal(B.shape)
     root = np.sqrt(a.real)
     assert np.array_equal(cholesky_solve_blocks(a, B), B / root / root)
 

@@ -6,7 +6,6 @@ import pytest
 
 import gabwin as gw
 from gabwin.cli import main, tune_width_to_ratio
-from oracles import sixty_step_bisection
 
 
 def run_cli(*argv):
@@ -394,63 +393,6 @@ def test_tune_width_to_ratio_brackets_the_target():
     for ratio in (0.5, 1.0, np.nan, np.inf, 1e300):
         with pytest.raises(ValueError, match="not reached"):
             tune_width_to_ratio(lattice, ratio)
-
-
-def _ratio_of_width(lattice):
-    def ratio(w):
-        fac = gw.factorize(gw.gaussian_window(lattice.L, w).astype(complex), lattice)
-        return gw.frame_bounds(gw.block_gram(fac, fac)).ratio
-    return ratio
-
-
-def test_tune_width_to_ratio_evaluates_each_width_once(monkeypatch):
-    # the bisection stops where its bracket holds adjacent floats, with the
-    # width and the ValueError of all 60 steps; the ratio at an upper end
-    # hi is the bracket's largest, so a target of exactly that ratio makes
-    # the bracket collapse onto the unevaluated hi
-    lattice = gw.derive_lattice(216, 12, 12)
-    ratio = _ratio_of_width(lattice)
-    widths = []
-
-    def recorded(L, w):
-        widths.append(w)
-        return gw.gaussian_window(L, w)
-
-    monkeypatch.setattr("gabwin.cli.gaussian_window", recorded)
-    cases = [(t, 1.0, 40.0) for t in (3.0, 1.5, 1e6, 0.5, 1.0, np.nan, np.inf, 1e300)]
-    cases += [(ratio(hi), 1.0, hi) for hi in (2.5, 3.0, 1.75)]
-    outcomes = set()
-    for target, lo, hi in cases:
-        widths.clear()
-        try:
-            want = sixty_step_bisection(ratio, target, lo, hi)
-        except ValueError as exc:
-            with pytest.raises(ValueError, match="not reached") as err:
-                tune_width_to_ratio(lattice, target, lo, hi)
-            assert str(err.value) == str(exc)
-            outcomes.add("error")
-        else:
-            assert tune_width_to_ratio(lattice, target, lo, hi) == want
-            outcomes.add("width")
-        assert len(widths) == len(set(widths)) < 60, target
-    assert outcomes == {"error", "width"}
-
-
-def test_experiment_iterations_vs_ratio_factorizes_once_per_run(tmp_path, monkeypatch):
-    # Bhat and the frame bound ratio share one factorization and one Gram;
-    # each of the five runs factorizes the window once more
-    calls = []
-
-    def counted(f, lattice):
-        calls.append(lattice)
-        return gw.factorize(f, lattice)
-
-    monkeypatch.setattr("gabwin.cli.factorize", counted)
-    monkeypatch.setattr("gabwin.iterations.factorize", counted)
-    out = tmp_path / "its.csv"
-    assert run_cli("experiment", "iterations-vs-ratio", "--out", out) == 0
-    widths = len(out.read_text().strip().split("\n")) - 1
-    assert len(calls) == 6 * widths == 102
 
 
 def test_non_finite_window_file_exit_code(tmp_path, capsys):

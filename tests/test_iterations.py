@@ -550,11 +550,18 @@ def test_trace_builds_each_gram_once(name, monkeypatch, lat432, gauss432):
     assert len(calls) == trace.steps_taken + 1
 
 
-@pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble, np.complex128,
+                                   np.clongdouble])
 def test_norm_scaled_terms_are_quotients_bit_for_bit(dtype, rng):
-    # a term times the reciprocal of its norm is numpy's complex quotient
-    terms = [(rng.standard_normal((6, 5, 2, 3)) + 1j * rng.standard_normal((6, 5, 2, 3)))
-             .astype(dtype) * 10.0 ** e for e in (-100, 0, 100)]
+    # complex terms take the reciprocal of their norm, which is numpy's
+    # complex quotient; real terms (scalar_iteration's) are divided
+    def term():
+        T = rng.standard_normal((6, 5, 2, 3))
+        if np.issubdtype(dtype, np.complexfloating):
+            T = T + 1j * rng.standard_normal(T.shape)
+        return T.astype(dtype)
+
+    terms = [term() * 10.0 ** e for e in (-100, 0, 100)]
     coeffs = gw.tight_taylor_coeffs(3)
     quotients = sum(cf * T / np.linalg.norm(T) for cf, T in zip(coeffs, terms))
     assert np.array_equal(_combine(coeffs, terms, True), quotients)
@@ -562,7 +569,7 @@ def test_norm_scaled_terms_are_quotients_bit_for_bit(dtype, rng):
 
 @pytest.mark.parametrize("name", ["I", "II", "III", "IV", "V"])
 def test_run_keeps_the_block_shape_of_planar_storage(name, lat600):
-    # at p <= 2 the loop iterates on planar storage, (p, q, c, d) in memory;
+    # at p = 2 the loop iterates on planar storage, (p, q, c, d) in memory;
     # the trace's blocks keep the shape (c, d, p, q) of ZakFactorization
     lt = lat600
     assert lt.p == 2
