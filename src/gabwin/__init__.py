@@ -35,13 +35,9 @@ from .iterations import (
     IterationConfig,
     IterationTrace,
     dual_taylor_coeffs,
-    initial_scale,
     optimal_scaling_constant,
     run,
     scalar_iteration,
-    step_dual,
-    step_frame_inverse,
-    step_tight,
     tight_taylor_coeffs,
     upper_frame_bound_estimate,
 )
@@ -74,8 +70,7 @@ __all__ = [
     "normalized_singular_values", "scalar_iteration",
     "IterationConfig", "IterationTrace", "run",
     "tight_taylor_coeffs", "dual_taylor_coeffs", "optimal_scaling_constant",
-    "upper_frame_bound_estimate", "initial_scale",
-    "step_tight", "step_dual", "step_frame_inverse",
+    "upper_frame_bound_estimate",
     "adjoint_correlations", "dual_lattice_norm_tight", "dual_lattice_norm_dual",
     "wexler_raz_residual", "kantorovich_bound_tight", "kantorovich_bound_dual",
     "z_bounds", "convergence_order",

@@ -267,9 +267,10 @@ def exp_precision(args, lattice, g):
 
 def _numits_item(lattice, w):
     g = gaussian_window(lattice.L, w).astype(complex)
-    Bhat = upper_frame_bound_estimate(g, lattice)
-    ratio = _frame_bounds(factorize(g, lattice)).ratio
-    row = [w, ratio]
+    fac = factorize(g, lattice)
+    S = block_gram(fac, fac)
+    Bhat = upper_frame_bound_estimate(S)
+    row = [w, frame_bounds(S).ratio]
     for name in _ALGOS:
         kwargs = {} if name == "I" else {"scaling": "initial", "Bhat": Bhat}
         trace = run(g, lattice, IterationConfig.from_algorithm(

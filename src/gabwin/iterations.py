@@ -14,15 +14,16 @@ Powers of Z_k never require a square root thanks to
 Z^(2r) gamma = (S S_k)^r gamma and Z^(2r+1) gamma = (S S_k)^r S_k g.
 
 One loop (_iterate, after _prescale) holds the step rules, the scalings and
-the stopping rule; run() keeps the iterands' blocks and unfactorizes only
-the last, scalar_iteration runs the loop on a batch of 1 x 1 blocks of
-singular values.  At p = 2 the loop copies the start blocks once into
-planar storage (see zak); at p <= 2 every step is whole-plane products, the
-Cholesky solve of algorithm I included, with no per-block LAPACK call.
-Every other number of a trace, the errors against the direct reference
-included, is computed from the kept blocks when read.  Norms stay in the
-input dtype.  Spectra and dual lattice norms follow the rules of
-diagnostics.
+the stopping rule.  It has two entry points: run() factorizes the window,
+keeps the iterands' blocks and unfactorizes none of them (one step is a
+fixed one-step run), and scalar_iteration runs the loop on a batch of
+1 x 1 blocks of singular values.  At p = 2 the loop copies the start
+blocks once into planar storage (see zak); at p <= 2 every step is
+whole-plane products, the Cholesky solve of algorithm I included, with no
+per-block LAPACK call.  Every other part of a trace, the final signal and
+the errors against the direct reference included, is computed from the
+kept blocks when read.  Norms stay in the input dtype.  Spectra and dual
+lattice norms follow the rules of diagnostics.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from . import diagnostics
 from .canonical import cholesky_solve_blocks, inv_dual, svd_tight
 from .errors import NotAFrameError
 from .lattice import GaborLattice
-from .zak import (ZakFactorization, _block_product, _gram_blocks, _over, factorize,
-                  unfactorize)
+from .zak import (BlockOperator, ZakFactorization, _block_product, _gram_blocks, _over,
+                  block_gram, factorize, unfactorize)
 
 __all__ = [
     "EPS",
@@ -50,10 +51,6 @@ __all__ = [
     "dual_taylor_coeffs_fractions",
     "optimal_scaling_constant",
     "upper_frame_bound_estimate",
-    "initial_scale",
-    "step_tight",
-    "step_dual",
-    "step_frame_inverse",
     "run",
     "scalar_iteration",
     "flop_estimate",
@@ -136,28 +133,18 @@ def optimal_scaling_constant(lower: float, upper: float, algorithm: str) -> floa
     raise ValueError(f"no optimal scaling constant for algorithm {algorithm!r}")
 
 
-def upper_frame_bound_estimate(g: np.ndarray, lattice: GaborLattice) -> float:
-    """Guaranteed upper bound on max spectrum of S from the dual lattice
+def upper_frame_bound_estimate(S: BlockOperator) -> float:
+    """Guaranteed upper bound on the max spectrum of the frame operator
+    S = block_gram(G, G) of a window g, from the dual lattice
     representation: the total adjoint-correlation mass of g.  Equals 1
     exactly when g is a canonical tight window."""
-    fac = factorize(g, lattice)
-    return _upper_frame_bound(_gram_blocks(fac.blocks, fac.blocks), lattice)
-
-
-def _upper_frame_bound(A: np.ndarray, lattice: GaborLattice) -> float:
-    """upper_frame_bound_estimate from the Gram blocks A^{g,g}."""
-    return float(np.abs(diagnostics._gram_correlations(A, lattice)).sum())
+    return float(np.abs(diagnostics._gram_correlations(S.blocks, S.lattice)).sum())
 
 
 def _checked_Bhat(Bhat):
     if Bhat is not None and not 0 < Bhat < np.inf:
         raise ValueError(f"Bhat must be positive and finite, got {Bhat}")
     return Bhat
-
-
-def initial_scale(fac: ZakFactorization, Bhat: float) -> ZakFactorization:
-    """Divide the window by Bhat^(1/2) (so S is divided by Bhat)."""
-    return ZakFactorization(fac.lattice, fac.blocks / np.sqrt(_checked_Bhat(Bhat)))
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +224,17 @@ class IterationConfig:
 
 
 # ---------------------------------------------------------------------------
-# Single steps (block domain)
+# Step kernels (block domain)
 
 def _combine(coeffs, terms, norm_scaled: bool) -> np.ndarray:
-    if norm_scaled:
-        return sum(_over(cf * T, np.linalg.norm(T)) for cf, T in zip(coeffs, terms))
-    return sum(cf * T for cf, T in zip(coeffs, terms))
+    """sum_j coeffs[j] terms[j], each term over its norm when norm_scaled,
+    added up from the first term (sum() would start from 0: one more pass)."""
+    scaled = [_over(cf * T, np.linalg.norm(T)) if norm_scaled else cf * T
+              for cf, T in zip(coeffs, terms)]
+    out = scaled[0]
+    for term in scaled[1:]:
+        out += term
+    return out
 
 
 def _tight_step_blocks(blocks, A, order, norm_scaled):
@@ -269,31 +261,6 @@ def _inverse_step_blocks(blocks, A):
             + _over(0.5 * solved, np.linalg.norm(solved)))
 
 
-def step_tight(fac: ZakFactorization, order: int = 2, scaling: str = "norm") -> ZakFactorization:
-    """One tight-window step gamma -> sum_j a_mj S^j gamma (scaled terms
-    under norm scaling, raw polynomial otherwise)."""
-    A = _gram_blocks(fac.blocks, fac.blocks)
-    out = _tight_step_blocks(fac.blocks, A, order, scaling == "norm")
-    return ZakFactorization(fac.lattice, out)
-
-
-def step_dual(fac: ZakFactorization, fac_g: ZakFactorization, order: int = 2,
-              scaling: str = "norm") -> ZakFactorization:
-    """One dual-window step gamma -> sum_j b_mj Z^j gamma with the original
-    window g held fixed across steps."""
-    if fac.lattice != fac_g.lattice:
-        raise ValueError("lattice mismatch")
-    Agg = _gram_blocks(fac_g.blocks, fac_g.blocks)
-    out = _dual_step_blocks(fac.blocks, fac_g.blocks, Agg, order, scaling == "norm")
-    return ZakFactorization(fac.lattice, out)
-
-
-def step_frame_inverse(fac: ZakFactorization) -> ZakFactorization:
-    """One algorithm-I step 0.5 gamma/||gamma|| + 0.5 S^-1 gamma/||S^-1 gamma||."""
-    A = _gram_blocks(fac.blocks, fac.blocks)
-    return ZakFactorization(fac.lattice, _inverse_step_blocks(fac.blocks, A))
-
-
 # ---------------------------------------------------------------------------
 # Full runs
 
@@ -303,9 +270,9 @@ class IterationTrace:
 
     run() fills the fields: ``blocks[k]``, the Zak blocks of gamma_k
     (gamma_0 is the prescaled window g); ``rel_steps[k]``,
-    ||gamma_{k+1} - gamma_k|| / ||gamma_{k+1}||; ``final``, the last
-    iterand as a signal; and ``stop_reason`` (see _iterate).  Everything
-    else is computed from the blocks when first read: ``errors[k]``, the
+    ||gamma_{k+1} - gamma_k|| / ||gamma_{k+1}||; and ``stop_reason`` (see
+    _iterate).  Everything else is computed from the blocks when first
+    read: ``final``, the last iterand as a signal; ``errors[k]``, the
     normalized gamma_k's distance to the normalized reference (svd_tight or
     inv_dual of gamma_0), on the blocks; ``wrong_limit``, a converged or
     diverging run whose last error exceeds 1e-6; ``iterands[k]``, gamma_k as
@@ -319,7 +286,6 @@ class IterationTrace:
     lattice: GaborLattice
     blocks: list
     rel_steps: list
-    final: np.ndarray
     stop_reason: str
 
     @property
@@ -341,6 +307,10 @@ class IterationTrace:
     @property
     def wrong_limit(self) -> bool:
         return self.stop_reason not in ("oscillating", "budget") and self.errors[-1] > 1e-6
+
+    @cached_property
+    def final(self) -> np.ndarray:
+        return unfactorize(ZakFactorization(self.lattice, self.blocks[-1]))
 
     @cached_property
     def iterands(self) -> list:
@@ -464,10 +434,9 @@ def run(g: np.ndarray, lattice: GaborLattice, config: IterationConfig) -> Iterat
     fac0 = factorize(g, lattice)
     Bhat = config.Bhat
     if config.scaling == "initial" and Bhat is None:
-        Bhat = _upper_frame_bound(_gram_blocks(fac0.blocks, fac0.blocks), lattice)
+        Bhat = upper_frame_bound_estimate(block_gram(fac0, fac0))
     blocks, rel_steps, reason = _iterate(_prescale(fac0.blocks, config, Bhat), config)
-    return IterationTrace(config, lattice, blocks, rel_steps,
-                          unfactorize(ZakFactorization(lattice, blocks[-1])), reason)
+    return IterationTrace(config, lattice, blocks, rel_steps, reason)
 
 
 def scalar_iteration(sigmas: np.ndarray, config: IterationConfig,

@@ -270,7 +270,8 @@ def test_criterion_11_block_size_independence():
 
 
 def test_criterion_12_scaling_comparison(lat432, gauss432):
-    Bhat = gw.upper_frame_bound_estimate(gauss432, lat432)
+    fac = gw.factorize(gauss432, lat432)
+    Bhat = gw.upper_frame_bound_estimate(gw.block_gram(fac, fac))
     rows = {}
     for name in ("II", "III", "IV", "V"):
         n_norm = gw.run(gauss432, lat432,

@@ -17,6 +17,20 @@ from oracles import DivergenceDetector, scalar_recursion, taylor_inv_coeffs, \
     taylor_inv_sqrt_coeffs
 
 
+def _Bhat(g, lattice):
+    """The upper frame bound estimate of g, from the Gram of its blocks."""
+    fac = gw.factorize(g, lattice)
+    return gw.upper_frame_bound_estimate(gw.block_gram(fac, fac))
+
+
+def _one_step(g, lattice, name, **kwargs):
+    """The blocks of g and of its image under one step of algorithm name."""
+    trace = gw.run(g, lattice, IterationConfig.from_algorithm(
+        name, stop_mode="fixed", max_steps=1, **kwargs))
+    assert trace.steps_taken == 1
+    return trace.blocks
+
+
 # ---------------------------------------------------------------------------
 # Taylor coefficients
 
@@ -82,54 +96,53 @@ def test_optimal_constant_maximizes_flatness(algo, order, target):
 
 
 def test_upper_bound_estimate_tight_calibration(lat432, ref_tight432):
-    assert gw.upper_frame_bound_estimate(ref_tight432, lat432) == pytest.approx(
-        1.0, abs=1e-10)
+    assert _Bhat(ref_tight432, lat432) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_upper_bound_estimate_dominates(rng, lat432):
     for _ in range(50):
         g = rng.standard_normal(432) + 1j * rng.standard_normal(432)
         fac = gw.factorize(g, lat432)
-        B = gw.frame_bounds(gw.block_gram(fac, fac)).upper
-        assert gw.upper_frame_bound_estimate(g, lat432) >= B - 1e-9
+        S = gw.block_gram(fac, fac)
+        assert gw.upper_frame_bound_estimate(S) >= gw.frame_bounds(S).upper - 1e-9
 
 
 def test_upper_bound_estimate_quadratic_scaling(lat432, gauss432):
-    base = gw.upper_frame_bound_estimate(gauss432, lat432)
-    assert gw.upper_frame_bound_estimate(2.0 * gauss432, lat432) == pytest.approx(
-        4.0 * base, rel=1e-12)
+    base = _Bhat(gauss432, lat432)
+    assert _Bhat(2.0 * gauss432, lat432) == pytest.approx(4.0 * base, rel=1e-12)
 
 
 def test_initial_scale_spectrum(lat432, gauss432):
+    # a run that takes no step keeps the window the iteration starts from
     fac = gw.factorize(gauss432, lat432)
     B = gw.frame_bounds(gw.block_gram(fac, fac)).upper
-    scaled = gw.initial_scale(fac, B)
+    trace = gw.run(gauss432, lat432, IterationConfig.from_algorithm(
+        "II", scaling="initial", Bhat=B, max_steps=0))
+    scaled = gw.ZakFactorization(lat432, trace.blocks[0])
     assert gw.frame_bounds(gw.block_gram(scaled, scaled)).upper == pytest.approx(
         1.0, rel=1e-12)
     for Bhat in (0.0, -B, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="Bhat must be positive and finite"):
-            gw.initial_scale(fac, Bhat)
+            IterationConfig.from_algorithm("II", scaling="initial", Bhat=Bhat)
 
 
 # ---------------------------------------------------------------------------
-# Single steps
+# Single steps: one step is a fixed one-step run
 
 def test_step_tight_fixed_point(lat432, ref_tight432):
-    fac = gw.factorize(ref_tight432 / np.linalg.norm(ref_tight432), lat432)
-    out = gw.step_tight(fac, order=2, scaling="norm")
-    assert np.abs(out.blocks - fac.blocks).max() < 1e-12
+    before, after = _one_step(ref_tight432 / np.linalg.norm(ref_tight432), lat432, "II")
+    assert np.abs(after - before).max() < 1e-12
 
 
 def test_step_dual_fixed_point_at_tight(lat432, ref_tight432):
-    fac = gw.factorize(ref_tight432, lat432)
-    out = gw.step_dual(fac, fac, order=2, scaling="initial")
-    assert np.abs(out.blocks - fac.blocks).max() < 1e-12
+    # the raw polynomial: initial scaling by 1
+    before, after = _one_step(ref_tight432, lat432, "IV", scaling="initial", Bhat=1.0)
+    assert np.abs(after - before).max() < 1e-12
 
 
 def test_step_frame_inverse_fixed_point(lat432, ref_tight432):
-    fac = gw.factorize(ref_tight432 / np.linalg.norm(ref_tight432), lat432)
-    out = gw.step_frame_inverse(fac)
-    assert np.abs(out.blocks - fac.blocks).max() < 1e-12
+    before, after = _one_step(ref_tight432 / np.linalg.norm(ref_tight432), lat432, "I")
+    assert np.abs(after - before).max() < 1e-12
 
 
 def test_step_frame_inverse_rejects_lost_frame():
@@ -137,11 +150,11 @@ def test_step_frame_inverse_rejects_lost_frame():
     delta = np.zeros(16, dtype=complex)
     delta[0] = 1.0
     with pytest.raises(NotAFrameError, match="frame"):
-        gw.step_frame_inverse(gw.factorize(delta, lt))
+        _one_step(delta, lt, "I")
 
 
 def test_initial_scaled_tight_quadratic(lat432, gauss432):
-    Bhat = gw.upper_frame_bound_estimate(gauss432, lat432)
+    Bhat = _Bhat(gauss432, lat432)
     cfg = IterationConfig.from_algorithm("II", scaling="initial", Bhat=Bhat,
                                          stop_mode="fixed", max_steps=8)
     trace = gw.run(gauss432, lat432, cfg)
@@ -171,7 +184,7 @@ def test_block_matches_scalar_trace(name, scaling, steps, lat432, gauss432, sigm
     # the singular values of the block iterands follow the scalar recursion;
     # norm scaling is scale-free, the others run on raw sigma (sigma^2 is
     # the frame-operator spectrum) with the block run's explicit Bhat
-    Bhat = gw.upper_frame_bound_estimate(gauss432, lat432) if scaling == "initial" else None
+    Bhat = _Bhat(gauss432, lat432) if scaling == "initial" else None
     cfg = IterationConfig.from_algorithm(name, scaling=scaling, Bhat=Bhat,
                                          stop_mode="fixed", max_steps=steps)
     trace = gw.run(gauss432, lat432, cfg)
@@ -204,7 +217,7 @@ _ORACLE_EPS = {"norm": {np.float64: 16, np.longdouble: 64}}
 @pytest.mark.parametrize("name,scaling", _ALL_CONFIGS)
 def test_scalar_iteration_matches_recursion_oracle(name, scaling, dtype, lat432, gauss432,
                                                    sigma432):
-    Bhat = gw.upper_frame_bound_estimate(gauss432, lat432) if scaling == "initial" else None
+    Bhat = _Bhat(gauss432, lat432) if scaling == "initial" else None
     cfg = IterationConfig.from_algorithm(name, scaling=scaling, Bhat=Bhat)
     unit = 1.0 if scaling == "norm" else np.sqrt(lat432.M * lat432.N)
     sig = (sigma432 * unit).astype(dtype)
@@ -378,7 +391,7 @@ def test_scaling_strategies_step_counts(lat432, gauss432):
     for name in ("II", "IV"):
         n_norm = steps(name)
         n_est = steps(name, scaling="initial",
-                      Bhat=gw.upper_frame_bound_estimate(gauss432, lat432))
+                      Bhat=_Bhat(gauss432, lat432))
         n_opt = steps(name, scaling="initial_optimal")
         n_const = steps(name, scaling="constant_optimal")
         assert n_est <= n_norm + 2
@@ -404,7 +417,7 @@ def test_reference_scale_covariance(lat432, gauss432):
 
 
 def test_initial_scaling_bhat_covariance(lat432, gauss432):
-    Bhat = gw.upper_frame_bound_estimate(gauss432, lat432)
+    Bhat = _Bhat(gauss432, lat432)
     t = 2.5
     a = gw.run(gauss432, lat432, IterationConfig.from_algorithm(
         "IV", scaling="initial", Bhat=Bhat))
@@ -418,7 +431,7 @@ def test_initial_scaling_estimates_bhat_without_refactorizing(
         monkeypatch, lat432, gauss432):
     # run() already holds the factorization of g: the default Bhat must come
     # from its Gram blocks and equal upper_frame_bound_estimate bit for bit
-    Bhat = gw.upper_frame_bound_estimate(gauss432, lat432)
+    Bhat = _Bhat(gauss432, lat432)
     expected = gw.run(gauss432, lat432, IterationConfig.from_algorithm(
         "II", scaling="initial", Bhat=Bhat))
 
@@ -518,7 +531,8 @@ def test_run_solves_no_reference(name, monkeypatch, lat432, gauss432):
 
 @pytest.mark.parametrize("name", ["II", "IV"])
 def test_run_unfactorizes_only_the_final_iterand(name, monkeypatch, lat432, gauss432):
-    # the errors are taken on the blocks; the signal iterands are built when read
+    # run() computes the iteration only: the final signal, the errors and the
+    # signal iterands are built from the kept blocks when read
     calls = {"factorize": 0, "unfactorize": 0}
 
     def counted(fn):
@@ -530,9 +544,13 @@ def test_run_unfactorizes_only_the_final_iterand(name, monkeypatch, lat432, gaus
     monkeypatch.setattr("gabwin.iterations.factorize", counted(gw.factorize))
     monkeypatch.setattr("gabwin.iterations.unfactorize", counted(gw.unfactorize))
     trace = gw.run(gauss432, lat432, IterationConfig.from_algorithm(name))
-    assert calls == {"factorize": 1, "unfactorize": 1}
+    assert calls == {"factorize": 1, "unfactorize": 0}
     assert trace.steps_taken > 1
-    assert np.array_equal(trace.iterands[-1], trace.final)
+    final = trace.final
+    assert calls["unfactorize"] == 1
+    assert trace.final is final and calls["unfactorize"] == 1
+    assert np.array_equal(final, gw.unfactorize(gw.ZakFactorization(lat432, trace.blocks[-1])))
+    assert np.array_equal(trace.iterands[-1], final)
     assert calls["unfactorize"] == trace.steps_taken + 2
 
 
@@ -698,7 +716,7 @@ def test_detector_spares_converging_badly_conditioned_dual(lat432):
     g = gw.gaussian_window(432, 1 / 5).astype(complex)
     cfg = IterationConfig.from_algorithm(
         "IV", scaling="initial",
-        Bhat=gw.upper_frame_bound_estimate(g, lat432), max_steps=60)
+        Bhat=_Bhat(g, lat432), max_steps=60)
     trace = gw.run(g, lat432, cfg)
     assert trace.stop_reason == "converged"
     assert trace.errors[-1] < 1e-8

@@ -381,20 +381,25 @@ def test_kernels_call_einsum_only_at_p_above_2(monkeypatch):
     facs = {}
     for L, a, b in ((240, 12, 10), (600, 20, 20), (432, 18, 18)):
         lt = gw.derive_lattice(L, a, b)
-        facs[lt.p] = gw.factorize(gw.gaussian_window(L).astype(complex), lt)
+        g = gw.gaussian_window(L).astype(complex)
+        facs[lt.p] = g, gw.factorize(g, lt)
     assert sorted(facs) == [1, 2, 3]
 
     def no_einsum(*args, **kwargs):
         raise AssertionError("np.einsum called")
 
+    def one_step(g, lattice, name):  # of order 3
+        return gw.run(g, lattice, gw.IterationConfig.from_algorithm(
+            name, stop_mode="fixed", max_steps=1))
+
     monkeypatch.setattr(np, "einsum", no_einsum)
-    for p, fac in facs.items():
+    for p, (g, fac) in facs.items():
         calls = [lambda: gw.block_gram(fac, fac),
                  lambda: gw.apply_block_operator(
                      gw.BlockOperator(fac.lattice, np.ones(fac.blocks.shape[:-1] + (p,))),
                      fac),
-                 lambda: gw.step_tight(fac, order=3),
-                 lambda: gw.step_dual(fac, fac, order=3)]
+                 lambda: one_step(g, fac.lattice, "III"),
+                 lambda: one_step(g, fac.lattice, "V")]
         for call in calls:
             if p <= 2:
                 call()
