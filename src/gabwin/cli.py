@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -24,6 +25,7 @@ from .dense import reference_dual, reference_tight
 from .errors import InvalidLatticeError, NotAFrameError
 from .iterations import (
     IterationConfig,
+    _run_stack,
     flop_estimate,
     run,
     upper_frame_bound_estimate,
@@ -248,65 +250,71 @@ _W_SWEEP = (1/8, 1/7, 1/6, 1/5, 1/4, 1/3, 1/2, 2/3, 1.0, 1.5, 2.0, 3.0, 4.0,
             5.0, 6.0, 7.0, 8.0)
 
 
-def _precision_item(lattice, w):
-    g = gaussian_window(lattice.L, w).astype(complex)
-    fac = factorize(g, lattice)
-    summary = _frame_bounds(fac)
-    trace = run(g, lattice, IterationConfig.from_algorithm("II", max_steps=40))
-    def dln(x):  # of the unit-norm window whose Zak blocks are x
-        return diagnostics._off_origin_mass(diagnostics._unit_correlations(x, x, lattice))
-    return [w, summary.ratio, dln(eig_tight(fac).blocks), dln(svd_tight(fac).blocks),
-            dln(trace.blocks[-1]), trace.steps_taken]
+def _sweep_windows(lattice):
+    """The Zak blocks of the Gaussians of the widths _W_SWEEP, stacked, and
+    the factorization of each (a view of the stack)."""
+    stack = np.stack([factorize(gaussian_window(lattice.L, w).astype(complex), lattice).blocks
+                      for w in _W_SWEEP])
+    return stack, [ZakFactorization(lattice, blocks) for blocks in stack]
 
 
 def exp_precision(args, lattice, g):
-    rows = [_precision_item(lattice, w) for w in _W_SWEEP]
+    stack, facs = _sweep_windows(lattice)
+    traces = _run_stack(stack, lattice, IterationConfig.from_algorithm("II", max_steps=40),
+                        every=False)
+
+    def dln(x):  # of the unit-norm window whose Zak blocks are x
+        return diagnostics._off_origin_mass(diagnostics._unit_correlations(x, x, lattice))
+    rows = [[w, _frame_bounds(fac).ratio, dln(eig_tight(fac).blocks),
+             dln(svd_tight(fac).blocks), dln(trace.blocks[-1]), trace.steps_taken]
+            for w, fac, trace in zip(_W_SWEEP, facs, traces)]
     return ["w", "frame_bound_ratio", "eig_err", "svd_err", "iter_err",
             "iter_steps"], rows
 
 
-def _numits_item(lattice, w):
-    g = gaussian_window(lattice.L, w).astype(complex)
-    fac = factorize(g, lattice)
-    S = block_gram(fac, fac)
-    Bhat = upper_frame_bound_estimate(S)
-    row = [w, frame_bounds(S).ratio]
-    for name in _ALGOS:
-        kwargs = {} if name == "I" else {"scaling": "initial", "Bhat": Bhat}
-        trace = run(g, lattice, IterationConfig.from_algorithm(
-            name, max_steps=60, **kwargs))
-        row.append(_steps_to_converge(trace))
-    return row
-
-
 def exp_iterations_vs_ratio(args, lattice, g):
-    rows = [_numits_item(lattice, w) for w in _W_SWEEP]
+    stack, facs = _sweep_windows(lattice)
+    grams = [block_gram(fac, fac) for fac in facs]
+    Bhat = [upper_frame_bound_estimate(S) for S in grams]
+    rows = [[w, frame_bounds(S).ratio] for w, S in zip(_W_SWEEP, grams)]
+    for name in _ALGOS:
+        initial = name != "I"
+        config = IterationConfig.from_algorithm(
+            name, max_steps=60, **({"scaling": "initial"} if initial else {}))
+        # one algorithm's traces at a time: each holds two iterands a member
+        steps = [_steps_to_converge(trace) for trace in
+                 _run_stack(stack, lattice, config, Bhat if initial else None, every=False)]
+        for row, n in zip(rows, steps):
+            row.append(n)
     return ["w", "frame_bound_ratio", "steps_I", "steps_II", "steps_III",
             "steps_IV", "steps_V"], rows
 
 
-def _scaling_sweep_item(lattice, g, B_best, target, b_scaled):
-    row = [b_scaled]
-    for order in (2, 3):
-        config = IterationConfig(target=target, order=order, scaling="initial",
-                                 Bhat=B_best / b_scaled, max_steps=80)
-        trace = run(g, lattice, config)
-        if trace.converged:
-            # past the sign-flip boundary the tight iteration can still halt
-            # by step size, but on the wrong tight window
-            flag = "wrong_limit" if trace.wrong_limit else "converged"
-        else:
-            flag = "diverged"
-        row += [_steps_to_converge(trace), flag]
-    return row
+def _sweep_cells(trace) -> list:
+    """Steps to converge and the stop flag of a scaling-sweep trace."""
+    if trace.converged:
+        # past the sign-flip boundary the tight iteration can still halt by
+        # step size, but on the wrong tight window
+        flag = "wrong_limit" if trace.wrong_limit else "converged"
+    else:
+        flag = "diverged"
+    return [_steps_to_converge(trace), flag]
 
 
 def exp_scaling_sweep(args, lattice, g):
-    summary = _frame_bounds(factorize(g, lattice))
+    fac = factorize(g, lattice)
+    B_best = _frame_bounds(fac).upper
     upper = 5.3 if args.target == "tight" else 2.9
     grid = np.round(np.arange(0.1, upper + 1e-9, 0.2), 10)
-    rows = [_scaling_sweep_item(lattice, g, summary.upper, args.target, b)
-            for b in grid]
+    stack = np.broadcast_to(fac.blocks, (len(grid),) + fac.blocks.shape)
+    rows = [[b_scaled] for b_scaled in grid]
+    for order in (2, 3):
+        config = IterationConfig(target=args.target, order=order, scaling="initial",
+                                 max_steps=80)
+        cells = [_sweep_cells(trace) for trace in
+                 _run_stack(stack, lattice, config, [B_best / b for b in grid], every=False)]
+        for row, cell in zip(rows, cells):
+            row += cell
     header = ["B_scaled", "steps_m2", "flag_m2", "steps_m3", "flag_m3"]
     return header, rows
 
@@ -317,24 +325,51 @@ _FIBONACCI = ((2, 3, 216, 12, 12), (3, 5, 540, 18, 18),
 
 def tune_width_to_ratio(lattice: GaborLattice, target_ratio: float,
                         lo: float = 1.0, hi: float = 40.0) -> float:
-    """Bisect the Gaussian width in [lo, hi] until the frame bound ratio
-    matches.  ValueError when the finite ratios of the bracket miss it: lo
-    never moved, or hi never moved or sits where the window is no frame."""
-    def ratio(w):
+    """The Gaussian width in [lo, hi] whose frame bound ratio matches, by
+    Illinois regula falsi on h(w) = log ratio(w) - log target_ratio
+    (Dowell and Jarratt, BIT 11, 1971): an end of the bracket that stays
+    twice in a row has its weight in the secant halved.  It bisects while
+    h(hi) is not finite (no frame), and stops at adjacent floats or after
+    60 evaluations of h; the end of smaller |h| is returned.  ValueError
+    when the finite ratios of the bracket miss the target: h(lo) >= 0, or
+    h(hi) < 0, or h(hi) ends not finite."""
+    def h(w):
         g = gaussian_window(lattice.L, w).astype(complex)
-        return _frame_bounds(factorize(g, lattice)).ratio
-    lo0, hi0, ratio_hi = lo, hi, np.inf
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        r = ratio(mid)
-        if r < target_ratio:
-            lo = mid
+        return math.log(_frame_bounds(factorize(g, lattice)).ratio) - log_target
+
+    missed = ValueError(f"frame bound ratio {target_ratio} is not reached by "
+                        f"Gaussian widths in [{lo}, {hi}]")
+    if not 0 < target_ratio < math.inf:
+        raise missed
+    log_target = math.log(target_ratio)
+    h_lo, h_hi = h(lo), h(hi)
+    if not (h_lo < 0 <= h_hi):
+        raise missed
+    weight_lo = weight_hi = 1.0
+    side = 0  # the end of the bracket that the last secant step moved
+    for _ in range(58):
+        if h_hi == 0 or math.nextafter(lo, hi) == hi:
+            break
+        w, secant = 0.5 * (lo + hi), h_hi < math.inf
+        if secant:
+            y_lo, y_hi = weight_lo * h_lo, weight_hi * h_hi
+            w = (lo * y_hi - hi * y_lo) / (y_hi - y_lo)
+            if not lo < w < hi:
+                w, secant = 0.5 * (lo + hi), False
+        h_w = h(w)
+        moved = -1 if h_w < 0 else 1
+        if secant and moved == side and moved < 0:  # hi stays a second time
+            weight_hi *= 0.5
+        elif secant and moved == side:
+            weight_lo *= 0.5
+        if moved < 0:
+            lo, h_lo, weight_lo = w, h_w, 1.0
         else:
-            hi, ratio_hi = mid, r
-    if lo == lo0 or ratio_hi == np.inf:
-        raise ValueError(f"frame bound ratio {target_ratio} is not reached by "
-                         f"Gaussian widths in [{lo0}, {hi0}]")
-    return 0.5 * (lo + hi)
+            hi, h_hi, weight_hi = w, h_w, 1.0
+        side = moved if secant else 0
+    if h_hi == math.inf:
+        raise missed
+    return hi if h_hi <= -h_lo else lo
 
 
 def _fibonacci_item(pp, qq, L, a, b, target_ratio):

@@ -14,21 +14,28 @@ Powers of Z_k never require a square root thanks to
 Z^(2r) gamma = (S S_k)^r gamma and Z^(2r+1) gamma = (S S_k)^r S_k g.
 
 One loop (_iterate, after _prescale) holds the step rules, the scalings and
-the stopping rule.  It has two entry points: run() factorizes the window,
-keeps the iterands' blocks and unfactorizes none of them (one step is a
-fixed one-step run), and scalar_iteration runs the loop on a batch of
-1 x 1 blocks of singular values.  At p = 2 the loop copies the start
-blocks once into planar storage (see zak); at p <= 2 every step is
-whole-plane products, the Cholesky solve of algorithm I included, with no
-per-block LAPACK call.  Every other part of a trace, the final signal and
-the errors against the direct reference included, is computed from the
-kept blocks when read.  Norms stay in the input dtype.  Spectra and dual
-lattice norms follow the rules of diagnostics.
+the stopping rule.  It runs a stack of members on a leading member axis,
+each member the blocks of one window: every member keeps its own norms,
+relative steps and stop, and leaves the stack when it stops.  run() is a
+batch of one: it factorizes the window and keeps the iterands' blocks
+(one step is a fixed one-step run).  _run_stack runs the windows of a
+sweep under one config, each with its own initial-scaling constant if
+given, in batches capped by their footprint, and scalar_iteration runs
+one member of 1 x 1 blocks of singular values.  The stack is stored
+member-major, each member contiguous, so a member's norm is a dot
+product over its memory; at p = 2 as (n, p, q, ..., c, d) planar storage
+(see zak).  At p <= 2 every step is whole-plane products, the Cholesky
+solve of algorithm I included, with no per-block LAPACK call.  Every
+other part of a trace, the final signal and the errors against the
+direct reference included, is computed from the kept blocks when read;
+the traces of one batch solve their references in one call.  Norms stay
+in the input dtype.  Spectra and dual lattice norms follow the rules of
+diagnostics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -224,12 +231,58 @@ class IterationConfig:
 
 
 # ---------------------------------------------------------------------------
-# Step kernels (block domain)
+# Step kernels (block domain), on member-major stacks (n, ..., c, d, p, q)
+
+# a batch stacks at most this many bytes of start blocks (9 members at
+# L = 432, one from L = 4096 on): a larger stack leaves the cache, where a
+# step costs more than the members' own steps, and its working set raises
+# the peak memory of a sweep
+_STACK_BYTES = 1 << 16
+
+
+def _members(x: np.ndarray, index) -> np.ndarray:
+    """The members ``index`` (a slice or a list) of a stack, member-major:
+    at p = 2 as (n, p, q, ..., c, d) in memory, whose (n, ..., c, d, p, q)
+    view is returned, so that each block entry of each member is a
+    contiguous plane.  A list copies; a slice copies only at p = 2, into
+    that storage when the stack is not in it."""
+    if x.shape[-2] != 2:
+        return x[index]
+    planes = np.ascontiguousarray(np.moveaxis(x, (-2, -1), (1, 2))[index])
+    return np.moveaxis(planes, (1, 2), (-2, -1))
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """2-norms of the members of a member-major stack, shaped to broadcast
+    against it: bit for bit np.linalg.norm of each member, which takes the
+    dot products of its real and imaginary parts in memory order.  A stack
+    of one gets np.linalg.norm itself (see _per_member)."""
+    if len(x) == 1:
+        return np.linalg.norm(x)
+    v = x.ravel(order="K").reshape(len(x), -1)
+    if np.iscomplexobj(v):
+        return _per_member(np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag)), x)
+    return _per_member(np.sqrt(np.vecdot(v, v)), x)
+
+
+def _per_member(values, x: np.ndarray):
+    """values, one per member of the stack x, shaped to broadcast against
+    it; for a stack of one its value, a scalar, which numpy applies with no
+    broadcast and no cast."""
+    values = np.asarray(values)
+    return values[0] if len(x) == 1 else values.reshape((len(x),) + (1,) * (x.ndim - 1))
+
+
+def _each(values):
+    """The values of _norms or _per_member, one a member, to iterate over."""
+    return values.ravel() if isinstance(values, np.ndarray) else (values,)
+
 
 def _combine(coeffs, terms, norm_scaled: bool) -> np.ndarray:
-    """sum_j coeffs[j] terms[j], each term over its norm when norm_scaled,
-    added up from the first term (sum() would start from 0: one more pass)."""
-    scaled = [_over(cf * T, np.linalg.norm(T)) if norm_scaled else cf * T
+    """sum_j coeffs[j] terms[j], each member of a term over its norm when
+    norm_scaled, added up from the first term (sum() would start from 0:
+    one more pass)."""
+    scaled = [_over(cf * T, _norms(T)) if norm_scaled else cf * T
               for cf, T in zip(coeffs, terms)]
     out = scaled[0]
     for term in scaled[1:]:
@@ -237,19 +290,19 @@ def _combine(coeffs, terms, norm_scaled: bool) -> np.ndarray:
     return out
 
 
-def _tight_step_blocks(blocks, A, order, norm_scaled):
+def _tight_step_blocks(blocks, A, coeffs, norm_scaled):
     terms = [blocks]
-    for _ in range(order - 1):
+    for _ in range(len(coeffs) - 1):
         terms.append(_block_product(A, terms[-1]))
-    return _combine(tight_taylor_coeffs(order), terms, norm_scaled)
+    return _combine(coeffs, terms, norm_scaled)
 
 
-def _dual_step_blocks(blocks, g_blocks, Agg, order, norm_scaled):
+def _dual_step_blocks(blocks, g_blocks, Agg, coeffs, norm_scaled):
     A = _gram_blocks(blocks, blocks)
     terms = [blocks, _block_product(A, g_blocks)]
-    while len(terms) < order:
+    while len(terms) < len(coeffs):
         terms.append(_block_product(Agg, _block_product(A, terms[-2])))
-    return _combine(dual_taylor_coeffs(order), terms[:order], norm_scaled)
+    return _combine(coeffs, terms[:len(coeffs)], norm_scaled)
 
 
 def _inverse_step_blocks(blocks, A):
@@ -257,12 +310,26 @@ def _inverse_step_blocks(blocks, A):
         solved = cholesky_solve_blocks(A, blocks)
     except NotAFrameError as exc:
         raise NotAFrameError("iterand lost frame property") from exc
-    return (_over(0.5 * blocks, np.linalg.norm(blocks))
-            + _over(0.5 * solved, np.linalg.norm(solved)))
+    return _over(0.5 * blocks, _norms(blocks)) + _over(0.5 * solved, _norms(solved))
 
 
 # ---------------------------------------------------------------------------
 # Full runs
+
+class _References:
+    """The normalized direct references (svd_tight for tight targets,
+    inv_dual for dual ones) of the start blocks of a batch of runs, solved
+    in one call on the stack when the first is read."""
+
+    def __init__(self, lattice: GaborLattice, target: str, starts: np.ndarray):
+        self.lattice, self.target, self.starts = lattice, target, starts
+
+    @cached_property
+    def unit(self) -> list:
+        solve = svd_tight if self.target == "tight" else inv_dual
+        return [r / np.linalg.norm(r)
+                for r in solve(ZakFactorization(self.lattice, self.starts)).blocks]
+
 
 @dataclass
 class IterationTrace:
@@ -279,7 +346,11 @@ class IterationTrace:
     a signal; ``bounds[k]``, (A_k, B_k) for tight targets and the Z-bounds
     (E_k, F_k) for dual ones; and ``dual_lattice_norms[k]``, that of the
     normalized gamma_k (against the normalized g for dual targets).  The
-    last two share one Gram per iterand.
+    last two share one Gram per iterand.  The traces of one batch share
+    their references (member ``member`` of ``references``); a trace built
+    without them solves its own.  A sweep's trace may keep the blocks of its
+    start and last iterand only (see _run_stack), and then has an error
+    for each.
     """
 
     config: IterationConfig
@@ -287,6 +358,8 @@ class IterationTrace:
     blocks: list
     rel_steps: list
     stop_reason: str
+    references: _References | None = field(default=None, repr=False, compare=False)
+    member: int = field(default=0, repr=False, compare=False)
 
     @property
     def steps_taken(self) -> int:
@@ -298,9 +371,9 @@ class IterationTrace:
 
     @cached_property
     def errors(self) -> list:
-        solve = svd_tight if self.config.target == "tight" else inv_dual
-        reference = solve(ZakFactorization(self.lattice, self.blocks[0])).blocks
-        reference = reference / np.linalg.norm(reference)
+        references = self.references or _References(
+            self.lattice, self.config.target, self.blocks[0][None])
+        reference = references.unit[self.member]
         return [float(np.linalg.norm(b / np.linalg.norm(b) - reference))
                 for b in self.blocks]
 
@@ -347,55 +420,74 @@ def _diverging(rel_steps: list) -> bool:
 
 
 def _prescale(g_blocks: np.ndarray, config: IterationConfig, Bhat) -> np.ndarray:
-    """The window the iteration starts from: g / Bhat^(1/2) (initial), g over
-    the root of the optimal constant of its frame bounds (initial_optimal),
-    else g.  Raises ValueError when the squared norm of that window
-    underflows, as every bound would."""
+    """The stack the iteration starts from, member by member: g / Bhat^(1/2)
+    (initial, Bhat holding each member's constant), g over the root of the
+    optimal constant of its frame bounds (initial_optimal), else g; at
+    p = 2 copied into planar storage (see _members).  Raises ValueError when
+    the squared norm of a member underflows, as every bound would."""
     finfo = np.finfo(g_blocks.dtype)
     if config.scaling == "initial_optimal":
-        bounds = diagnostics._spectrum(_gram_blocks(g_blocks, g_blocks), "tight")
-        if not bounds.is_frame:
-            raise NotAFrameError("not a frame: cannot compute optimal scaling")
-        Bhat = optimal_scaling_constant(bounds.lower, bounds.upper, config.algorithm_name)
+        Bhat = []
+        for g in g_blocks:
+            bounds = diagnostics._spectrum(_gram_blocks(g, g), "tight")
+            if not bounds.is_frame:
+                raise NotAFrameError("not a frame: cannot compute optimal scaling")
+            Bhat.append(optimal_scaling_constant(bounds.lower, bounds.upper,
+                                                 config.algorithm_name))
     if config.scaling in ("initial", "initial_optimal"):
-        g_blocks = g_blocks / np.sqrt(finfo.dtype.type(_checked_Bhat(Bhat)))
-    g_norm, least = np.linalg.norm(g_blocks), np.sqrt(finfo.tiny)
+        Bhat = np.array([_checked_Bhat(b) for b in Bhat], dtype=finfo.dtype)
+        g_blocks = g_blocks / _per_member(np.sqrt(Bhat), g_blocks)
+    g_norm, least = min(_each(_norms(g_blocks))), np.sqrt(finfo.tiny)
     if not g_norm >= least:
         raise ValueError(f"window norm too small: {g_norm:.3g} < {least:.3g}, "
                          f"its square underflows {finfo.dtype}")
-    return g_blocks
+    return _members(g_blocks, slice(None))
 
 
-def _iterate(g_blocks: np.ndarray, config: IterationConfig):
-    """Iterate from the (prescaled) window g_blocks to the stopping rule.
+def _iterate(g_blocks: np.ndarray, config: IterationConfig, every: bool = True) -> list:
+    """Iterate every member of the (prescaled) stack g_blocks to the
+    stopping rule.
 
     A tight step reuses the Gram A^{gamma,gamma} of its iterand, a dual step
     builds its own and reuses A^{g,g}.  Only constant_optimal reads a
-    spectrum, that of A^{gamma,gamma} (tight) or A^{g,gamma} (dual).  Returns
-    the blocks of every iterand (g_blocks first), the relative steps that led
-    to them, and why it stopped: "converged", "diverging" (see _diverging),
-    "non_finite" (the next iterand's norm is not finite or is zero; it is not
-    kept), or with the budget used up "oscillating" (a two-cycle: gamma_k
-    within 1e-8 of gamma_{k-2}, steps above threshold) or "budget".  At
-    p = 2 the blocks are views of planar storage, shaped (..., c, d, p, q).
+    spectrum, that of A^{gamma,gamma} (tight) or A^{g,gamma} (dual), one per
+    member.  Returns, per member, the blocks of every iterand (its start
+    first), the relative steps that led to them, and why it stopped:
+    "converged", "diverging" (see _diverging), "non_finite" (the next
+    iterand's norm is not finite or is zero; it is not kept), or with the
+    budget used up "oscillating" (a two-cycle: gamma_k within 1e-8 of
+    gamma_{k-2}, steps above threshold) or "budget".  A member that stops
+    leaves the stack.  The iterands keep the storage of the stack.  Unless
+    ``every``, only a member's start and last iterand are returned, and
+    held while it runs (the last three in the last steps of the budget): a
+    sweep that reads no more holds two iterands a member, not every one.
     """
     real = np.finfo(g_blocks.dtype).dtype.type
-    # (p, q, ..., c, d) in memory: contiguous planes.  At p = 1 the copy cost
-    # more than it saved at small c d, and won nothing clear at large c d
-    if g_blocks.shape[-2] == 2:
-        g_blocks = np.moveaxis(np.moveaxis(g_blocks, (-2, -1), (0, 1)).copy(),
-                               (0, 1), (-2, -1))
     tight = config.target == "tight"
     norm_scaled = config.scaling == "norm"
-    blocks, iterands, rel_steps = g_blocks, [g_blocks], []
+    coeffs = None if config.inverse else (
+        tight_taylor_coeffs if tight else dual_taylor_coeffs)(config.order)
+    auto, threshold = config.stop_mode == "auto", config.step_threshold
+    n = len(g_blocks)
+    iterands, rel_steps, reasons = [[g] for g in g_blocks], [[] for _ in range(n)], [None] * n
+    live = list(range(n))  # the members in the rows of the stack
+    blocks = g_start = g_blocks
     Agg = None if tight else _gram_blocks(g_blocks, g_blocks)
-    for _ in range(config.max_steps):
+
+    def stop(member, reason):
+        reasons[member] = reason
+        kept = iterands[member]
+        if not every and len(kept) > 1:
+            # a copy: a view would hold the stack of its step, every member
+            kept[1:] = [kept[-1].copy(order="K")]
+
+    for step in range(config.max_steps):
         A = _gram_blocks(blocks, blocks) if tight else None
         if config.scaling == "constant_optimal":
-            bounds = diagnostics._spectrum(A if tight else _gram_blocks(g_blocks, blocks),
-                                           config.target)
-            const = real(optimal_scaling_constant(bounds.lower, bounds.upper,
-                                                  config.algorithm_name))
+            grams = A if tight else _gram_blocks(g_start, blocks)
+            const = [optimal_scaling_constant(b.lower, b.upper, config.algorithm_name)
+                     for b in (diagnostics._spectrum(G, config.target) for G in grams)]
+            const = _per_member(np.array(const, dtype=real), blocks)
             if tight:
                 blocks, A = _over(blocks, np.sqrt(const)), _over(A, const)
             else:
@@ -405,38 +497,82 @@ def _iterate(g_blocks: np.ndarray, config: IterationConfig):
             if config.inverse:
                 new = _inverse_step_blocks(blocks, A)
             elif tight:
-                new = _tight_step_blocks(blocks, A, config.order, norm_scaled)
+                new = _tight_step_blocks(blocks, A, coeffs, norm_scaled)
             else:
-                new = _dual_step_blocks(blocks, g_blocks, Agg, config.order, norm_scaled)
-            new_norm = np.linalg.norm(new)
-            if not np.isfinite(new_norm) or new_norm == 0.0:
-                return iterands, rel_steps, "non_finite"
-            rel = np.linalg.norm(new - blocks) / new_norm
+                new = _dual_step_blocks(blocks, g_start, Agg, coeffs, norm_scaled)
+            new_norm, step_norm = _norms(new), _norms(new - blocks)
 
-        blocks = new
-        iterands.append(blocks)
-        rel_steps.append(float(rel))
-        if config.stop_mode == "fixed":
+        stay = []
+        for row, (member, new_norm, step_norm) in enumerate(zip(live, _each(new_norm),
+                                                                 _each(step_norm))):
+            kept, steps, reason = iterands[member], rel_steps[member], None
+            if 0.0 < new_norm < np.inf:  # finite and not zero
+                rel = step_norm / new_norm
+                kept.append(new[row])
+                steps.append(float(rel))
+                if not every and step + 2 < config.max_steps:
+                    del kept[1:-1]  # the budget stop reads the last three
+                if auto and rel < threshold:
+                    reason = "converged"
+                elif auto and _diverging(steps):
+                    reason = "diverging"
+            else:
+                reason = "non_finite"
+            if reason is None:
+                stay.append(row)
+            else:
+                stop(member, reason)
+        if len(stay) == len(live):
+            blocks = new
             continue
-        if rel < config.step_threshold:
-            return iterands, rel_steps, "converged"
-        if _diverging(rel_steps):
-            return iterands, rel_steps, "diverging"
+        live = [live[row] for row in stay]
+        if not live:
+            break
+        blocks, g_start = _members(new, stay), _members(g_start, stay)
+        Agg = None if tight else _members(Agg, stay)
+    for member in live:
+        stop(member, _budget_stop(iterands[member], rel_steps[member], config))
+    return list(zip(iterands, rel_steps, reasons))
+
+
+def _budget_stop(iterands: list, rel_steps: list, config: IterationConfig) -> str:
+    """"oscillating" for a two-cycle above the step threshold, else "budget"."""
     if len(iterands) >= 3:
         cyc = np.linalg.norm(iterands[-1] - iterands[-3]) / np.linalg.norm(iterands[-1])
         if cyc < 1e-8 and rel_steps[-1] > config.step_threshold:
-            return iterands, rel_steps, "oscillating"
-    return iterands, rel_steps, "budget"
+            return "oscillating"
+    return "budget"
+
+
+def _run_stack(stack: np.ndarray, lattice: GaborLattice, config: IterationConfig,
+               Bhat=None, every: bool = True) -> list:
+    """Run every member of a stack (n, c, d, p, q) of window blocks under one
+    config and record each: one trace per member, in order.  ``Bhat``, when
+    given, holds each member's initial-scaling constant (the traces' configs
+    record it); under initial scaling without it, config.Bhat or else the
+    estimate of each member's window.  The members run in batches of at
+    most _STACK_BYTES of blocks, and the traces of a batch share one
+    reference solve.  Unless ``every``, a trace keeps the blocks of its
+    start and last iterand only (see _iterate)."""
+    configs = [config] * len(stack) if Bhat is None else [replace(config, Bhat=b) for b in Bhat]
+    if Bhat is None and config.scaling == "initial":
+        Bhat = [config.Bhat if config.Bhat is not None else upper_frame_bound_estimate(
+                    block_gram(fac, fac)) for fac in (ZakFactorization(lattice, g)
+                                                      for g in stack)]
+    size = max(1, _STACK_BYTES // stack[0].nbytes)
+    traces = []
+    for lo in range(0, len(stack), size):
+        starts = _prescale(stack[lo:lo + size], config,
+                           None if Bhat is None else Bhat[lo:lo + size])
+        references = _References(lattice, config.target, starts)
+        traces += [IterationTrace(configs[lo + member], lattice, *result, references, member)
+                   for member, result in enumerate(_iterate(starts, config, every))]
+    return traces
 
 
 def run(g: np.ndarray, lattice: GaborLattice, config: IterationConfig) -> IterationTrace:
     """Run an iteration to the configured stopping rule and record it."""
-    fac0 = factorize(g, lattice)
-    Bhat = config.Bhat
-    if config.scaling == "initial" and Bhat is None:
-        Bhat = upper_frame_bound_estimate(block_gram(fac0, fac0))
-    blocks, rel_steps, reason = _iterate(_prescale(fac0.blocks, config, Bhat), config)
-    return IterationTrace(config, lattice, blocks, rel_steps, reason)
+    return _run_stack(factorize(g, lattice).blocks[None], lattice, config)[0]
 
 
 def scalar_iteration(sigmas: np.ndarray, config: IterationConfig,
@@ -444,21 +580,22 @@ def scalar_iteration(sigmas: np.ndarray, config: IterationConfig,
     """Run an iteration as a scalar recursion on singular values.
 
     This is the block iteration of ``run`` on 1 x 1 blocks: sigma viewed as
-    a batch of n (1, 1, 1, 1) blocks with Gram sigma^2, for exactly ``steps``
-    steps (default ``config.max_steps``).  Returns the (steps+1, n) trace of
-    sigma vectors; a run that diverges (an iterand whose norm is not finite)
-    is frozen at the iterand before.  Norm scaling is scale-invariant in the
-    input; for initial scaling pass raw singular values (so sigma^2 is the
-    frame-operator spectrum) and an explicit Bhat.  Computations stay in the
-    input dtype, so longdouble input gives an extended-precision trace.
+    one member, a batch of n (1, 1, 1, 1) blocks with Gram sigma^2, for
+    exactly ``steps`` steps (default ``config.max_steps``).  Returns the
+    (steps+1, n) trace of sigma vectors; a run that diverges (an iterand
+    whose norm is not finite) is frozen at the iterand before.  Norm scaling
+    is scale-invariant in the input; for initial scaling pass raw singular
+    values (so sigma^2 is the frame-operator spectrum) and an explicit Bhat.
+    Computations stay in the input dtype, so longdouble input gives an
+    extended-precision trace.
     """
     if config.scaling == "initial" and config.Bhat is None:
         raise ValueError("initial scaling of a scalar run needs an explicit Bhat")
     steps = config.max_steps if steps is None else steps
     config = replace(config, stop_mode="fixed", max_steps=steps, tol=None)
-    sig = _prescale(np.asarray(sigmas).reshape(-1, 1, 1, 1, 1), config, config.Bhat)
+    sig = _prescale(np.asarray(sigmas).reshape(1, -1, 1, 1, 1, 1), config, [config.Bhat])
     # fixed steps stop early only on a non-finite iterand: freeze at the last one
-    trace = [blocks.reshape(-1) for blocks in _iterate(sig, config)[0]]
+    trace = [blocks.reshape(-1) for blocks in _iterate(sig, config)[0][0]]
     return np.array(trace + trace[-1:] * (steps + 1 - len(trace)))
 
 

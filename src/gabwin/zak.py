@@ -89,6 +89,8 @@ class ZakFactorization:
     """c x d grid of p x q blocks sampled from the Zak transform.
 
     ``blocks`` has shape (c, d, p, q); the map signal -> blocks is unitary.
+    Leading axes make it a stack of factorizations on the lattice, which
+    block_gram, apply_block_operator, svd_tight and inv_dual take.
     Immutable: the array is marked read-only after construction.
     """
 
@@ -97,7 +99,7 @@ class ZakFactorization:
 
     def __post_init__(self):
         lt = self.lattice
-        if self.blocks.shape != (lt.c, lt.d, lt.p, lt.q):
+        if self.blocks.shape[-4:] != (lt.c, lt.d, lt.p, lt.q):
             raise ValueError(
                 f"blocks shape {self.blocks.shape} does not match lattice "
                 f"({lt.c}, {lt.d}, {lt.p}, {lt.q})"
@@ -108,14 +110,14 @@ class ZakFactorization:
 @dataclass(frozen=True)
 class BlockOperator:
     """c x d grid of p x p blocks representing an operator commuting with
-    the lattice shifts (e.g. a frame operator)."""
+    the lattice shifts (e.g. a frame operator); leading axes stack them."""
 
     lattice: GaborLattice
     blocks: np.ndarray
 
     def __post_init__(self):
         lt = self.lattice
-        if self.blocks.shape != (lt.c, lt.d, lt.p, lt.p):
+        if self.blocks.shape[-4:] != (lt.c, lt.d, lt.p, lt.p):
             raise ValueError("blocks shape does not match lattice")
         self.blocks.flags.writeable = False
 
@@ -268,10 +270,14 @@ def apply_block_operator(op: BlockOperator, fac: ZakFactorization) -> ZakFactori
 
 
 def _over(X: np.ndarray, s, out=None) -> np.ndarray:
-    """X / s for real s, into out if given.  numpy divides complex by real
+    """X / s for real s, into out if given, else into a new array in the
+    layout of X (an s that broadcasts, one value a member of a stack,
+    would make numpy write it in C order).  numpy divides complex by real
     as a product with 1 / s, so complex X takes that product: the
     quotient's bits at a fraction of its cost.  Real X is divided, since
     x (1 / s) can differ from x / s by an ulp."""
+    if out is None and isinstance(s, np.ndarray):
+        out = np.empty_like(X, dtype=np.result_type(X, s))
     if np.iscomplexobj(X):
         return np.multiply(X, 1 / s, out=out)
     return np.divide(X, s, out=out)

@@ -365,6 +365,34 @@ def test_experiment_iterations_vs_ratio(tmp_path):
     assert max(r[2] for r in rows) > by_w[1.0][2]
 
 
+def test_experiment_iterations_vs_ratio_factorizes_each_width_once(tmp_path, monkeypatch):
+    # the five algorithms run as stacks of the 17 windows, whose ratio and
+    # Bhat come from one Gram a width
+    calls = _count_zak_calls(monkeypatch)
+    assert run_cli("experiment", "iterations-vs-ratio", "--out", tmp_path / "its.csv") == 0
+    assert calls == {"factorize": 17, "unfactorize": 0}
+
+
+@pytest.mark.parametrize("target,solver,members", [("tight", "svd_tight", 27),
+                                                   ("dual", "inv_dual", 15)])
+def test_experiment_scaling_sweep_solves_one_reference_a_batch(tmp_path, monkeypatch,
+                                                                target, solver, members):
+    # wrong_limit reads the errors: the traces of a batch share one solve
+    calls = []
+    original = getattr(gw.iterations, solver)
+
+    def counted(fac):
+        calls.append(len(fac.blocks))
+        return original(fac)
+
+    monkeypatch.setattr(f"gabwin.iterations.{solver}", counted)
+    assert run_cli("experiment", "scaling-sweep", "--target", target,
+                   "--out", tmp_path / "sweep.csv") == 0
+    per_batch = gw.iterations._STACK_BYTES // (16 * 432)
+    batches = -(-members // per_batch)
+    assert 1 < len(calls) <= 2 * batches and max(calls) <= per_batch
+
+
 def test_experiment_fibonacci(tmp_path):
     out = tmp_path / "fib.csv"
     code = run_cli("experiment", "fibonacci", "--out", out)
@@ -393,6 +421,30 @@ def test_tune_width_to_ratio_brackets_the_target():
     for ratio in (0.5, 1.0, np.nan, np.inf, 1e300):
         with pytest.raises(ValueError, match="not reached"):
             tune_width_to_ratio(lattice, ratio)
+
+
+def test_tune_width_to_ratio_takes_few_evaluations(monkeypatch):
+    # regula falsi on log ratio: at most 25 windows a lattice, against 60
+    # bisection steps; a ratio below that of w = 1 fails at once
+    calls = []
+    factorize = gw.cli.factorize
+
+    def counted(f, lattice):
+        calls.append(lattice)
+        return factorize(f, lattice)
+
+    monkeypatch.setattr("gabwin.cli.factorize", counted)
+    for p, q, L, a, b in gw.cli._FIBONACCI:
+        lattice = gw.derive_lattice(L, a, b)
+        calls.clear()
+        w = tune_width_to_ratio(lattice, 3.0)
+        assert len(calls) <= 25, (p, q, len(calls))
+        fac = factorize(gw.gaussian_window(L, w).astype(complex), lattice)
+        assert gw.frame_bounds(gw.block_gram(fac, fac)).ratio == pytest.approx(3.0, rel=1e-12)
+        calls.clear()
+        with pytest.raises(ValueError, match="not reached"):
+            tune_width_to_ratio(lattice, 1.2)
+        assert len(calls) <= 2
 
 
 def test_non_finite_window_file_exit_code(tmp_path, capsys):

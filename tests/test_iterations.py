@@ -1,6 +1,7 @@
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from itertools import accumulate
 from operator import mul
 
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 import gabwin as gw
 from gabwin.errors import NotAFrameError
-from gabwin.iterations import EPS, IterationConfig, _combine, _diverging, flop_estimate
+from gabwin import iterations
+from gabwin.iterations import (EPS, IterationConfig, _combine, _diverging, _run_stack,
+                               flop_estimate)
 
 from oracles import DivergenceDetector, scalar_recursion, taylor_inv_coeffs, \
     taylor_inv_sqrt_coeffs
@@ -572,16 +575,18 @@ def test_trace_builds_each_gram_once(name, monkeypatch, lat432, gauss432):
                                    np.clongdouble])
 def test_norm_scaled_terms_are_quotients_bit_for_bit(dtype, rng):
     # complex terms take the reciprocal of their norm, which is numpy's
-    # complex quotient; real terms (scalar_iteration's) are divided
-    def term():
-        T = rng.standard_normal((6, 5, 2, 3))
+    # complex quotient; real terms (scalar_iteration's) are divided.  A term
+    # is a stack of members, each over its own np.linalg.norm
+    def term(scales):
+        T = rng.standard_normal((3, 6, 5, 2, 3))
         if np.issubdtype(dtype, np.complexfloating):
             T = T + 1j * rng.standard_normal(T.shape)
-        return T.astype(dtype)
+        return T.astype(dtype) * (10.0 ** np.array(scales))[:, None, None, None, None]
 
-    terms = [term() * 10.0 ** e for e in (-100, 0, 100)]
+    terms = [term(np.roll([-100, 0, 100], k)) for k in range(3)]
     coeffs = gw.tight_taylor_coeffs(3)
-    quotients = sum(cf * T / np.linalg.norm(T) for cf, T in zip(coeffs, terms))
+    quotients = sum(np.stack([cf * t / np.linalg.norm(t) for t in T])
+                    for cf, T in zip(coeffs, terms))
     assert np.array_equal(_combine(coeffs, terms, True), quotients)
 
 
@@ -777,6 +782,117 @@ def test_explicit_tolerance_stop(lat432, gauss432):
     assert loose.stop_reason == strict.stop_reason == "converged"
     assert loose.steps_taken < strict.steps_taken
     assert loose.rel_steps[-1] < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# Stacked runs: a sweep's members through one loop
+
+
+def _assert_same_runs(traces, singles):
+    """Each stacked trace gives its member's own run() bit for bit."""
+    assert len(traces) == len(singles)
+    for trace, single in zip(traces, singles):
+        assert trace.stop_reason == single.stop_reason
+        assert trace.rel_steps == single.rel_steps
+        assert len(trace.blocks) == len(single.blocks)
+        for got, want in zip(trace.blocks, single.blocks):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert trace.errors == single.errors
+
+
+_STACK_LATTICES = {1: (240, 12, 10), 2: (600, 20, 20), 3: (432, 18, 18)}
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("name,scaling", _ALL_CONFIGS)
+def test_stacked_members_match_their_own_runs(p, name, scaling):
+    # members of different widths share one loop; each keeps its norms,
+    # steps and stop (under initial scaling each its own Bhat estimate)
+    L, a, b = _STACK_LATTICES[p]
+    lt = gw.derive_lattice(L, a, b)
+    assert lt.p == p
+    windows = [gw.gaussian_window(L, w).astype(complex) for w in (0.5, 1.0, 1.7)]
+    windows.append(gw.sech_window(L, 0.8).astype(complex))
+    config = IterationConfig.from_algorithm(name, scaling=scaling, max_steps=12)
+    stack = np.stack([gw.factorize(g, lt).blocks for g in windows])
+    _assert_same_runs(_run_stack(stack, lt, config),
+                      [gw.run(g, lt, config) for g in windows])
+
+
+def _gauss432_and_B(lat432, gauss432):
+    fac = gw.factorize(gauss432, lat432)
+    return fac, gw.frame_bounds(gw.block_gram(fac, fac)).upper
+
+
+def test_stacked_members_stop_each_for_its_own_reason(lat432, gauss432):
+    # a scaling-sweep batch: the window prescaled to 1.0 B ... 5.1 B, with a
+    # budget of 15 steps; the members stop at different steps
+    fac, B = _gauss432_and_B(lat432, gauss432)
+    grid = (1.0, 3.3, 3.9, 4.1, 5.1)
+    config = IterationConfig(order=2, scaling="initial", max_steps=15)
+    traces = _run_stack(np.stack([fac.blocks] * len(grid)), lat432, config,
+                        [B / b for b in grid])
+    assert [t.stop_reason for t in traces] == [
+        "converged", "budget", "converged", "diverging", "non_finite"]
+    assert [t.config.Bhat for t in traces] == [B / b for b in grid]
+    _assert_same_runs(traces, [gw.run(gauss432, lat432, replace(config, Bhat=B / b))
+                               for b in grid])
+    assert [t.wrong_limit for t in traces] == [False, False, True, True, True]
+
+
+def test_stacked_two_cycle_is_oscillating(lat432, gauss432):
+    # the two-cycle of test_run_flags_a_two_cycle_as_oscillating beside a
+    # member that converges on the last step of the budget
+    tight = gw.unfactorize(gw.svd_tight(gw.factorize(gauss432, lat432)))
+    fac_t = gw.factorize(tight, lat432)
+    B_t = gw.frame_bounds(gw.block_gram(fac_t, fac_t)).upper
+    fac, B = _gauss432_and_B(lat432, gauss432)
+    config = IterationConfig(order=2, scaling="initial", max_steps=6)
+    traces = _run_stack(np.stack([fac_t.blocks, fac.blocks]), lat432, config,
+                        [B_t / 5, B])
+    assert [t.stop_reason for t in traces] == ["oscillating", "converged"]
+    _assert_same_runs(traces, [gw.run(tight, lat432, replace(config, Bhat=B_t / 5)),
+                               gw.run(gauss432, lat432, replace(config, Bhat=B))])
+
+
+@pytest.mark.parametrize("target,solver", [("tight", "svd_tight"), ("dual", "inv_dual")])
+def test_footprint_cap_splits_a_stack_into_batches(target, solver, monkeypatch, lat600):
+    # two members a batch: 5 members run as 3 batches, each solving its
+    # references in one call when the first trace reads its errors
+    calls = []
+    original = getattr(iterations, solver)
+
+    def counted(fac):
+        calls.append(fac.blocks.shape)
+        return original(fac)
+
+    monkeypatch.setattr(iterations, solver, counted)
+    windows = [gw.gaussian_window(600, w).astype(complex) for w in (0.6, 0.8, 1.0, 1.3, 2.0)]
+    stack = np.stack([gw.factorize(g, lat600).blocks for g in windows])
+    monkeypatch.setattr(iterations, "_STACK_BYTES", 2 * stack[0].nbytes)
+    config = IterationConfig(target=target, order=3)
+    traces = _run_stack(stack, lat600, config)
+    assert not calls
+    for trace in traces:
+        assert trace.errors[-1] < 1e-10
+    assert calls == [(2,) + stack.shape[1:]] * 2 + [(1,) + stack.shape[1:]]
+    _assert_same_runs(traces, [gw.run(g, lat600, config) for g in windows])
+
+
+@pytest.mark.parametrize("every", [True, False])
+def test_sweep_traces_keep_the_start_and_last_iterand(every, lat432, gauss432):
+    fac, B = _gauss432_and_B(lat432, gauss432)
+    config = IterationConfig.from_algorithm("IV", scaling="initial", max_steps=30)
+    stack = np.stack([fac.blocks] * 3)
+    full = _run_stack(stack, lat432, config, [B, B / 2, B / 2.5])
+    traces = _run_stack(stack, lat432, config, [B, B / 2, B / 2.5], every=every)
+    for trace, kept in zip(full, traces):
+        assert kept.rel_steps == trace.rel_steps and kept.stop_reason == trace.stop_reason
+        want = trace.blocks if every else [trace.blocks[0], trace.blocks[-1]]
+        assert len(kept.blocks) == len(want)
+        assert all(np.array_equal(x, y) for x, y in zip(kept.blocks, want))
+        assert kept.errors[-1] == trace.errors[-1]
+        assert kept.wrong_limit is trace.wrong_limit
 
 
 def _literal_step(name, gamma, g, S_of, S_fixed):
