@@ -1,9 +1,7 @@
 """Direct (non-iterative) canonical-window methods on the block
 factorization: EIG, SVD and INV.  At p = 2 SVD's polar factor of a block
 Phi = B E (Gram-Schmidt) is [[s, -conj t], [t, s]] E / hypot(s, |t|), built
-from sums of positive terms so that nothing cancels (see svd_tight).
-svd_tight and inv_dual take a stack of factorizations, and test the rank
-of each window on its own."""
+from sums of positive terms so that nothing cancels (see svd_tight)."""
 
 from __future__ import annotations
 
@@ -35,22 +33,8 @@ def eig_tight(fac: ZakFactorization) -> ZakFactorization:
     return ZakFactorization(fac.lattice, out)
 
 
-def _window_axes(x: np.ndarray, k: int) -> tuple:
-    """The last k axes of x, those of one window's blocks: the leading axes
-    of a stack of windows stay, and an array of at most k axes is one
-    window."""
-    return tuple(range(-min(k, x.ndim), 0))
-
-
-def _rank_deficient(s: np.ndarray) -> bool:
-    """Whether the least of the values s (..., c, d, k) of a window's
-    blocks is at most _RANK_TOL times the largest, for any window."""
-    axes = _window_axes(s, 3)
-    return bool((s.min(axis=axes) <= _RANK_TOL * s.max(axis=axes)).any())
-
-
 def _check_eigenvalues(ev: np.ndarray) -> None:
-    if _rank_deficient(ev):
+    if ev.min() <= _RANK_TOL * ev.max():
         raise NotAFrameError("not a frame: frame operator numerically singular")
 
 
@@ -82,7 +66,7 @@ def svd_tight(fac: ZakFactorization) -> ZakFactorization:
     else:
         U, s, Vh = np.linalg.svd(fac.blocks, full_matrices=False)
         _check_singular_values(s)
-        polar = np.einsum("...ij,...jl->...il", U, Vh)
+        polar = np.einsum("rsij,rsjl->rsil", U, Vh)
     return ZakFactorization(lt, np.divide(polar, np.sqrt(lt.c * lt.d * lt.q), out=polar))
 
 
@@ -100,23 +84,20 @@ def _polar_2xq(blocks: np.ndarray) -> np.ndarray:
     r22, at = np.hypot.reduce(np.abs(y), axis=-1, keepdims=True), np.abs(t)
     h = np.hypot(r11 + r22, at)
     sigma1 = 0.5 * (h + np.hypot(r11 - r22, at))
-    _check_singular_values(np.concatenate([sigma1, r11 * (r22 / sigma1)], axis=-1))
+    _check_singular_values(np.concatenate([sigma1, r11 * (r22 / sigma1)]))
     e2, s, t = y / r22, (r11 + r22) / h, t / h
     return np.stack([s * e1 - t.conj() * e2, t * e1 + s * e2], axis=-2)
 
 
 def _unit_scaled(blocks: np.ndarray) -> np.ndarray:
-    """blocks over the power of two that takes the largest part of their
-    window into [1/2, 1): exact, and clear of subnormals where the rank test
-    passes."""
+    """blocks over the power of two that takes their largest part into
+    [1/2, 1): exact, and clear of subnormals where the rank test passes."""
     x = np.ascontiguousarray(blocks).view(float)
-    axes = _window_axes(x, 4)
-    big = np.maximum(x.max(axis=axes, keepdims=True), -x.min(axis=axes, keepdims=True))
-    return np.ldexp(x, -np.frexp(big)[1]).view(complex)
+    return np.ldexp(x, -np.frexp(max(x.max(), -x.min()))[1]).view(complex)
 
 
 def _check_singular_values(s: np.ndarray) -> None:
-    if _rank_deficient(s):
+    if s.min() <= _RANK_TOL * s.max():
         raise NotAFrameError("not a frame: rank-deficient factorization block")
 
 

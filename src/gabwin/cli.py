@@ -215,17 +215,9 @@ def exp_convergence(args, lattice, g):
 
 
 def exp_scaling_compare(args, lattice, g):
-    strategies = [
-        ("norm", {}),
-        ("initial", {}),
-        ("initial_optimal", {}),
-        ("constant_optimal", {}),
-    ]
-    traces = []
-    for scaling, extra in strategies:
-        config = IterationConfig.from_algorithm(
-            "II", scaling=scaling, max_steps=args.steps, stop_mode="fixed", **extra)
-        traces.append(run(g, lattice, config))
+    traces = [run(g, lattice, IterationConfig.from_algorithm(
+                  "II", scaling=scaling, max_steps=args.steps, stop_mode="fixed"))
+              for scaling in ("norm", "initial", "initial_optimal", "constant_optimal")]
     rows = [[k] + [t.errors[k] for t in traces] for k in range(1, args.steps + 1)]
     header = ["step", "err_norm", "err_initial_bbound", "err_initial_optimal",
               "err_constant_optimal"]

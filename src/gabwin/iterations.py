@@ -27,15 +27,14 @@ product over its memory; at p = 2 as (n, p, q, ..., c, d) planar storage
 (see zak).  At p <= 2 every step is whole-plane products, the Cholesky
 solve of algorithm I included, with no per-block LAPACK call.  Every
 other part of a trace, the final signal and the errors against the
-direct reference included, is computed from the kept blocks when read;
-the traces of one batch solve their references in one call.  Norms stay
-in the input dtype.  Spectra and dual lattice norms follow the rules of
-diagnostics.
+direct reference included, is computed from the kept blocks when read.
+Norms stay in the input dtype.  Spectra and dual lattice norms follow the
+rules of diagnostics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -270,6 +269,10 @@ def _per_member(values, x: np.ndarray):
     it; for a stack of one its value, a scalar, which numpy applies with no
     broadcast and no cast."""
     values = np.asarray(values)
+    # the stack-of-one branches here and in _norms are not a second path to
+    # drop: run() is a stack of one, and without them its scalars become
+    # (1, 1, ...) arrays that every step broadcasts, which made run() 3 to
+    # 13% slower on one thread, the most at the smallest lattices
     return values[0] if len(x) == 1 else values.reshape((len(x),) + (1,) * (x.ndim - 1))
 
 
@@ -316,21 +319,6 @@ def _inverse_step_blocks(blocks, A):
 # ---------------------------------------------------------------------------
 # Full runs
 
-class _References:
-    """The normalized direct references (svd_tight for tight targets,
-    inv_dual for dual ones) of the start blocks of a batch of runs, solved
-    in one call on the stack when the first is read."""
-
-    def __init__(self, lattice: GaborLattice, target: str, starts: np.ndarray):
-        self.lattice, self.target, self.starts = lattice, target, starts
-
-    @cached_property
-    def unit(self) -> list:
-        solve = svd_tight if self.target == "tight" else inv_dual
-        return [r / np.linalg.norm(r)
-                for r in solve(ZakFactorization(self.lattice, self.starts)).blocks]
-
-
 @dataclass
 class IterationTrace:
     """Record of a run, which keeps the blocks of every iterand.
@@ -346,11 +334,9 @@ class IterationTrace:
     a signal; ``bounds[k]``, (A_k, B_k) for tight targets and the Z-bounds
     (E_k, F_k) for dual ones; and ``dual_lattice_norms[k]``, that of the
     normalized gamma_k (against the normalized g for dual targets).  The
-    last two share one Gram per iterand.  The traces of one batch share
-    their references (member ``member`` of ``references``); a trace built
-    without them solves its own.  A sweep's trace may keep the blocks of its
-    start and last iterand only (see _run_stack), and then has an error
-    for each.
+    last two share one Gram per iterand.  A sweep's trace may keep the
+    blocks of its start and last iterand only (see _run_stack), and then
+    has an error for each.
     """
 
     config: IterationConfig
@@ -358,8 +344,6 @@ class IterationTrace:
     blocks: list
     rel_steps: list
     stop_reason: str
-    references: _References | None = field(default=None, repr=False, compare=False)
-    member: int = field(default=0, repr=False, compare=False)
 
     @property
     def steps_taken(self) -> int:
@@ -371,9 +355,9 @@ class IterationTrace:
 
     @cached_property
     def errors(self) -> list:
-        references = self.references or _References(
-            self.lattice, self.config.target, self.blocks[0][None])
-        reference = references.unit[self.member]
+        solve = svd_tight if self.config.target == "tight" else inv_dual
+        reference = solve(ZakFactorization(self.lattice, self.blocks[0])).blocks
+        reference = reference / np.linalg.norm(reference)
         return [float(np.linalg.norm(b / np.linalg.norm(b) - reference))
                 for b in self.blocks]
 
@@ -551,9 +535,8 @@ def _run_stack(stack: np.ndarray, lattice: GaborLattice, config: IterationConfig
     given, holds each member's initial-scaling constant (the traces' configs
     record it); under initial scaling without it, config.Bhat or else the
     estimate of each member's window.  The members run in batches of at
-    most _STACK_BYTES of blocks, and the traces of a batch share one
-    reference solve.  Unless ``every``, a trace keeps the blocks of its
-    start and last iterand only (see _iterate)."""
+    most _STACK_BYTES of blocks.  Unless ``every``, a trace keeps the blocks
+    of its start and last iterand only (see _iterate)."""
     configs = [config] * len(stack) if Bhat is None else [replace(config, Bhat=b) for b in Bhat]
     if Bhat is None and config.scaling == "initial":
         Bhat = [config.Bhat if config.Bhat is not None else upper_frame_bound_estimate(
@@ -564,8 +547,7 @@ def _run_stack(stack: np.ndarray, lattice: GaborLattice, config: IterationConfig
     for lo in range(0, len(stack), size):
         starts = _prescale(stack[lo:lo + size], config,
                            None if Bhat is None else Bhat[lo:lo + size])
-        references = _References(lattice, config.target, starts)
-        traces += [IterationTrace(configs[lo + member], lattice, *result, references, member)
+        traces += [IterationTrace(configs[lo + member], lattice, *result)
                    for member, result in enumerate(_iterate(starts, config, every))]
     return traces
 

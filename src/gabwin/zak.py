@@ -89,8 +89,6 @@ class ZakFactorization:
     """c x d grid of p x q blocks sampled from the Zak transform.
 
     ``blocks`` has shape (c, d, p, q); the map signal -> blocks is unitary.
-    Leading axes make it a stack of factorizations on the lattice, which
-    block_gram, apply_block_operator, svd_tight and inv_dual take.
     Immutable: the array is marked read-only after construction.
     """
 
@@ -99,7 +97,7 @@ class ZakFactorization:
 
     def __post_init__(self):
         lt = self.lattice
-        if self.blocks.shape[-4:] != (lt.c, lt.d, lt.p, lt.q):
+        if self.blocks.shape != (lt.c, lt.d, lt.p, lt.q):
             raise ValueError(
                 f"blocks shape {self.blocks.shape} does not match lattice "
                 f"({lt.c}, {lt.d}, {lt.p}, {lt.q})"
@@ -110,14 +108,14 @@ class ZakFactorization:
 @dataclass(frozen=True)
 class BlockOperator:
     """c x d grid of p x p blocks representing an operator commuting with
-    the lattice shifts (e.g. a frame operator); leading axes stack them."""
+    the lattice shifts (e.g. a frame operator)."""
 
     lattice: GaborLattice
     blocks: np.ndarray
 
     def __post_init__(self):
         lt = self.lattice
-        if self.blocks.shape[-4:] != (lt.c, lt.d, lt.p, lt.p):
+        if self.blocks.shape != (lt.c, lt.d, lt.p, lt.p):
             raise ValueError("blocks shape does not match lattice")
         self.blocks.flags.writeable = False
 

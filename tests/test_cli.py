@@ -255,11 +255,14 @@ def test_experiment_convergence_csv(tmp_path):
     assert max(last[1], last[2], last[3]) < 1e-12  # tight algorithms stay
 
 
-def test_experiment_deterministic(tmp_path):
+@pytest.mark.parametrize("name", sorted(gw.cli._EXPERIMENTS))
+def test_experiment_deterministic(tmp_path, name):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_cli("experiment", "scalar-lab", "--out", a)
-    run_cli("experiment", "scalar-lab", "--out", b)
+    assert run_cli("experiment", name, "--out", a) == 0
+    assert run_cli("experiment", name, "--out", b) == 0
     assert a.read_bytes() == b.read_bytes()
+    if name != "scalar-lab":
+        return
     rows = a.read_text().strip().split("\n")[1:]
     table = {(r.split(",")[0], r.split(",")[1]): r.split(",")[3] for r in rows}
     assert table[("II", "1.5")] == "both_to_one"
@@ -373,24 +376,25 @@ def test_experiment_iterations_vs_ratio_factorizes_each_width_once(tmp_path, mon
     assert calls == {"factorize": 17, "unfactorize": 0}
 
 
-@pytest.mark.parametrize("target,solver,members", [("tight", "svd_tight", 27),
-                                                   ("dual", "inv_dual", 15)])
-def test_experiment_scaling_sweep_solves_one_reference_a_batch(tmp_path, monkeypatch,
-                                                                target, solver, members):
-    # wrong_limit reads the errors: the traces of a batch share one solve
+@pytest.mark.parametrize("target,solver,solves", [("tight", "svd_tight", 36),
+                                                  ("dual", "inv_dual", 20)])
+def test_experiment_scaling_sweep_solves_one_window_a_converged_member(
+        tmp_path, monkeypatch, target, solver, solves):
+    # the flag of a converged member reads wrong_limit, whose errors solve
+    # that member's own reference; a diverged member solves none
     calls = []
     original = getattr(gw.iterations, solver)
 
     def counted(fac):
-        calls.append(len(fac.blocks))
+        calls.append(fac.blocks.shape)
         return original(fac)
 
     monkeypatch.setattr(f"gabwin.iterations.{solver}", counted)
-    assert run_cli("experiment", "scaling-sweep", "--target", target,
-                   "--out", tmp_path / "sweep.csv") == 0
-    per_batch = gw.iterations._STACK_BYTES // (16 * 432)
-    batches = -(-members // per_batch)
-    assert 1 < len(calls) <= 2 * batches and max(calls) <= per_batch
+    out = tmp_path / "sweep.csv"
+    assert run_cli("experiment", "scaling-sweep", "--target", target, "--out", out) == 0
+    rows = [ln.split(",") for ln in out.read_text().strip().split("\n")[1:]]
+    assert sum(flag != "diverged" for row in rows for flag in row[2::2]) == solves
+    assert calls == [(6, 6, 3, 4)] * solves
 
 
 def test_experiment_fibonacci(tmp_path):

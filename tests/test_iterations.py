@@ -857,25 +857,31 @@ def test_stacked_two_cycle_is_oscillating(lat432, gauss432):
 
 @pytest.mark.parametrize("target,solver", [("tight", "svd_tight"), ("dual", "inv_dual")])
 def test_footprint_cap_splits_a_stack_into_batches(target, solver, monkeypatch, lat600):
-    # two members a batch: 5 members run as 3 batches, each solving its
-    # references in one call when the first trace reads its errors
-    calls = []
-    original = getattr(iterations, solver)
+    # two members a batch: 5 members run as 3 batches; each trace solves its
+    # own reference, one window, when its errors are first read
+    batches, solves = [], []
+    iterate, solve = iterations._iterate, getattr(iterations, solver)
 
-    def counted(fac):
-        calls.append(fac.blocks.shape)
-        return original(fac)
+    def counted_iterate(g_blocks, *args):
+        batches.append(len(g_blocks))
+        return iterate(g_blocks, *args)
 
-    monkeypatch.setattr(iterations, solver, counted)
+    def counted_solve(fac):
+        solves.append(fac.blocks.shape)
+        return solve(fac)
+
+    monkeypatch.setattr(iterations, "_iterate", counted_iterate)
+    monkeypatch.setattr(iterations, solver, counted_solve)
     windows = [gw.gaussian_window(600, w).astype(complex) for w in (0.6, 0.8, 1.0, 1.3, 2.0)]
     stack = np.stack([gw.factorize(g, lat600).blocks for g in windows])
     monkeypatch.setattr(iterations, "_STACK_BYTES", 2 * stack[0].nbytes)
     config = IterationConfig(target=target, order=3)
     traces = _run_stack(stack, lat600, config)
-    assert not calls
+    assert batches == [2, 2, 1]
+    assert not solves
     for trace in traces:
         assert trace.errors[-1] < 1e-10
-    assert calls == [(2,) + stack.shape[1:]] * 2 + [(1,) + stack.shape[1:]]
+    assert solves == [stack.shape[1:]] * 5
     _assert_same_runs(traces, [gw.run(g, lat600, config) for g in windows])
 
 

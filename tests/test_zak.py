@@ -217,6 +217,18 @@ def test_blocks_immutable(lat432, gauss432):
         fac.blocks[0, 0, 0, 0] = 0.0
 
 
+def test_block_types_hold_one_window(lat432, gauss432):
+    # a stack of windows is the run loop's, in the private kernels: the
+    # public types take exactly one window's blocks and name a stack's shape
+    b = gw.factorize(gauss432, lat432).blocks
+    A = gw.block_gram(gw.ZakFactorization(lat432, b), gw.ZakFactorization(lat432, b)).blocks
+    with pytest.raises(ValueError, match="does not match lattice"):
+        gw.ZakFactorization(lat432, np.stack([b, b]))
+    with pytest.raises(ValueError, match="does not match lattice"):
+        gw.BlockOperator(lat432, np.stack([A, A]))
+    assert gw.BlockOperator(lat432, A).blocks.shape == A.shape
+
+
 def _rel_max(x, ref):
     return float(np.abs(x - ref).max() / np.abs(ref).max())
 
