@@ -39,6 +39,7 @@ from .zak import (SpectralSummary, ZakFactorization, block_gram, factorize, fram
 EXIT_NOT_A_FRAME = 2
 EXIT_DIVERGED = 3
 EXIT_NOT_CONVERGED = 4
+EXIT_WRONG_LIMIT = 5
 _EXIT_CODES = {"converged": 0, "diverging": EXIT_DIVERGED, "non_finite": EXIT_DIVERGED,
                "oscillating": EXIT_NOT_CONVERGED, "budget": EXIT_NOT_CONVERGED}
 
@@ -147,7 +148,8 @@ def cmd_canonical(args: argparse.Namespace) -> int:
                 f"not {args.target}")
         trace = run(g, lattice, config)
         out, gamma = trace.blocks[-1], trace.final
-        code = _EXIT_CODES[trace.stop_reason]
+        wrong = trace.converged and trace.wrong_limit
+        code = EXIT_WRONG_LIMIT if wrong else _EXIT_CODES[trace.stop_reason]
         report["iteration"] = {
             "algorithm": name,
             "scaling": config.scaling,
@@ -285,8 +287,8 @@ def exp_iterations_vs_ratio(args, lattice, g):
 def _sweep_cells(trace) -> list:
     """Steps to converge and the stop flag of a scaling-sweep trace."""
     if trace.converged:
-        # past the sign-flip boundary the tight iteration can still halt by
-        # step size, but on the wrong tight window
+        # past the sign-flip boundary an iteration can still halt by step size,
+        # on a wrong window that the sign of its own mixed Gram shows
         flag = "wrong_limit" if trace.wrong_limit else "converged"
     else:
         flag = "diverged"

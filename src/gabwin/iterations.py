@@ -44,8 +44,8 @@ from . import diagnostics
 from .canonical import cholesky_solve_blocks, inv_dual, svd_tight
 from .errors import NotAFrameError
 from .lattice import GaborLattice
-from .zak import (BlockOperator, ZakFactorization, _block_product, _gram_blocks, _over,
-                  block_gram, factorize, unfactorize)
+from .zak import (BlockOperator, ZakFactorization, _block_product, _gram_blocks,
+                  _hermitian_eigvals, _over, block_gram, factorize, unfactorize)
 
 __all__ = [
     "EPS",
@@ -329,9 +329,12 @@ class IterationTrace:
     _iterate).  Everything else is computed from the blocks when first
     read: ``final``, the last iterand as a signal; ``errors[k]``, the
     normalized gamma_k's distance to the normalized reference (svd_tight or
-    inv_dual of gamma_0), on the blocks; ``wrong_limit``, a converged or
-    diverging run whose last error exceeds 1e-6; ``iterands[k]``, gamma_k as
-    a signal; ``bounds[k]``, (A_k, B_k) for tight targets and the Z-bounds
+    inv_dual of gamma_0), on the blocks, the one field that solves it;
+    ``wrong_limit``, a run that diverged, or converged to a sign-flipped
+    window: the Hermitian part of a block of A^{g,gamma} of the last iterand
+    has a negative eigenvalue (at a tight limit U D V* of g = U S V*, with
+    D = diag(+-1), that block is U S D U*); ``iterands[k]``, gamma_k as a
+    signal; ``bounds[k]``, (A_k, B_k) for tight targets and the Z-bounds
     (E_k, F_k) for dual ones; and ``dual_lattice_norms[k]``, that of the
     normalized gamma_k (against the normalized g for dual targets).  The
     last two share one Gram per iterand.  A sweep's trace may keep the
@@ -361,9 +364,11 @@ class IterationTrace:
         return [float(np.linalg.norm(b / np.linalg.norm(b) - reference))
                 for b in self.blocks]
 
-    @property
+    @cached_property
     def wrong_limit(self) -> bool:
-        return self.stop_reason not in ("oscillating", "budget") and self.errors[-1] > 1e-6
+        if self.stop_reason != "converged":
+            return self.stop_reason in ("diverging", "non_finite")
+        return bool(_hermitian_eigvals(_gram_blocks(self.blocks[0], self.blocks[-1])).min() < 0)
 
     @cached_property
     def final(self) -> np.ndarray:

@@ -19,12 +19,17 @@ from .zak import ZakFactorization, block_gram, factorize, unfactorize
 __all__ = ["gaussian_window", "sech_window", "monster_window"]
 
 _TAIL = 1e-20
+_MAX_SHELLS = 1000  # the widest golden input, sech of w = 40 at L = 216, needs 7
 
 
 def _periodize(L: int, w: float, term) -> np.ndarray:
     """Sum term(t_l - k sqrt(L)) over k until the next shell drops below
-    the truncation tail (terms decay at least exponentially)."""
+    the truncation tail (terms decay at least exponentially, monotonically
+    in |t|); a ValueError if shell _MAX_SHELLS, at its sample nearest 0, would not."""
     t = np.arange(L) / np.sqrt(L)
+    if term(t[-1:] - _MAX_SHELLS * np.sqrt(L), w)[0] >= _TAIL:
+        raise ValueError(f"width w = {w} needs more than {_MAX_SHELLS} periodization "
+                         f"shells at L = {L}")
     total = term(t, w)
     k = 1
     while True:

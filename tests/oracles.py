@@ -417,3 +417,12 @@ class DivergenceDetector:
                 self.growth = self.growth + 1 if rel > self.GROWTH_MARGIN * self.prev else 0
         self.prev = rel
         return self.growth >= 3
+
+
+def wrong_limit_by_error(trace) -> bool:
+    """The wrong-limit rule read through the direct reference: a run that
+    did not stop by oscillation or budget, whose last error against
+    svd_tight or inv_dual exceeds 1e-6.  It mixes a wrong branch with a
+    limit not yet accurate, so it agrees with IterationTrace.wrong_limit on
+    converged runs that end near their limit."""
+    return trace.stop_reason not in ("oscillating", "budget") and trace.errors[-1] > 1e-6

@@ -126,6 +126,45 @@ def test_step_budget_exit_code(tmp_path):
     assert (tmp_path / "budget.window").stat().st_size == 8 * 432
 
 
+@pytest.mark.parametrize("dims,window,method,target,scaling,steps", [
+    ((432, 18, 18), "gauss:1", "iter:II", "tight", "initial", 17),
+    ((240, 12, 10), "gauss:0.05", "iter:V", "dual", "norm", 34)], ids=["tight", "dual"])
+def test_converged_wrong_limit_exit_code(tmp_path, dims, window, method, target, scaling,
+                                         steps):
+    # a run that converges on a sign-flipped window writes its window and
+    # report, but must not exit 0
+    lattice = gw.derive_lattice(*dims)
+    argv = ["canonical", "--L", lattice.L, "--a", lattice.a, "--b", lattice.b,
+            "--window", window, "--method", method, "--target", target,
+            "--scaling", scaling, "--out", tmp_path / "wrong"]
+    if scaling == "initial":  # past order 2's sign-flip boundary Bhat = B/3
+        fac = gw.factorize(gw.cli.make_window(window, lattice).astype(complex), lattice)
+        argv += ["--Bhat", gw.frame_bounds(gw.block_gram(fac, fac)).upper / 3.5]
+    assert run_cli(*argv) == gw.cli.EXIT_WRONG_LIMIT == 5
+    iteration = json.loads((tmp_path / "wrong.report.json").read_text())["iteration"]
+    assert iteration["stop_reason"] == "converged" and iteration["steps"] == steps
+    assert iteration["wrong_limit"] is True
+    assert iteration["error_vs_reference"] > 1
+    assert (tmp_path / "wrong.window").stat().st_size == 8 * lattice.L
+
+
+def test_loose_tol_exits_zero(tmp_path):
+    # converged after 2 steps, not yet accurate, on the right branch
+    code = run_cli("canonical", "--method", "iter:II", "--tol", 0.1,
+                   "--out", tmp_path / "loose")
+    assert code == 0
+    iteration = json.loads((tmp_path / "loose.report.json").read_text())["iteration"]
+    assert iteration["steps"] == 2 and iteration["wrong_limit"] is False
+    assert 1e-6 < iteration["error_vs_reference"] < 1e-2
+
+
+def test_window_too_wide_to_periodize_exit_code(tmp_path, capsys):
+    code = run_cli("canonical", "--window", "gauss:1e300", "--out", tmp_path / "wide")
+    assert code == 1
+    assert "periodization shells" in capsys.readouterr().err
+    assert not (tmp_path / "wide.report.json").exists()
+
+
 @pytest.mark.parametrize("method,target", [("iter:II", "tight"), ("iter:IV", "dual")])
 def test_window_beyond_complex64_is_not_written(tmp_path, capsys, method, target):
     # the run stops non_finite at an iterand whose samples complex64 cannot
@@ -376,12 +415,15 @@ def test_experiment_iterations_vs_ratio_factorizes_each_width_once(tmp_path, mon
     assert calls == {"factorize": 17, "unfactorize": 0}
 
 
-@pytest.mark.parametrize("target,solver,solves", [("tight", "svd_tight", 36),
-                                                  ("dual", "inv_dual", 20)])
-def test_experiment_scaling_sweep_solves_one_window_a_converged_member(
-        tmp_path, monkeypatch, target, solver, solves):
-    # the flag of a converged member reads wrong_limit, whose errors solve
-    # that member's own reference; a diverged member solves none
+@pytest.mark.parametrize("target,solver,converged", [("tight", "svd_tight", 36),
+                                                     ("dual", "inv_dual", 20)])
+def test_experiment_scaling_sweep_solves_no_reference(
+        tmp_path, monkeypatch, target, solver, converged):
+    # the flag of a converged member reads wrong_limit, the sign of that
+    # member's own mixed Gram: no member solves a reference, and the CSV is
+    # that of a run whose solver is not watched
+    argv = ("experiment", "scaling-sweep", "--target", target, "--out")
+    assert run_cli(*argv, tmp_path / "plain.csv") == 0
     calls = []
     original = getattr(gw.iterations, solver)
 
@@ -391,10 +433,11 @@ def test_experiment_scaling_sweep_solves_one_window_a_converged_member(
 
     monkeypatch.setattr(f"gabwin.iterations.{solver}", counted)
     out = tmp_path / "sweep.csv"
-    assert run_cli("experiment", "scaling-sweep", "--target", target, "--out", out) == 0
+    assert run_cli(*argv, out) == 0
     rows = [ln.split(",") for ln in out.read_text().strip().split("\n")[1:]]
-    assert sum(flag != "diverged" for row in rows for flag in row[2::2]) == solves
-    assert calls == [(6, 6, 3, 4)] * solves
+    assert sum(flag != "diverged" for row in rows for flag in row[2::2]) == converged
+    assert calls == []
+    assert out.read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 def test_experiment_fibonacci(tmp_path):

@@ -17,7 +17,7 @@ from gabwin.iterations import (EPS, IterationConfig, _combine, _diverging, _run_
                                flop_estimate)
 
 from oracles import DivergenceDetector, scalar_recursion, taylor_inv_coeffs, \
-    taylor_inv_sqrt_coeffs
+    taylor_inv_sqrt_coeffs, wrong_limit_by_error
 
 
 def _Bhat(g, lattice):
@@ -512,7 +512,8 @@ def test_run_computes_no_unread_diagnostics(name, monkeypatch, lat432, gauss432)
 
 @pytest.mark.parametrize("name", ["II", "IV"])
 def test_run_solves_no_reference(name, monkeypatch, lat432, gauss432):
-    # the direct reference is solved from blocks[0] when errors is first read
+    # the direct reference is solved from blocks[0] when errors is first
+    # read, and only then: wrong_limit reads the trace's own mixed Gram
     def refuse(*args):
         raise RuntimeError("reference solved")
 
@@ -522,9 +523,9 @@ def test_run_solves_no_reference(name, monkeypatch, lat432, gauss432):
     trace = gw.run(gauss432, lat432, config)
     assert trace.steps_taken > 0 and trace.stop_reason == "converged"
     assert trace.final.shape == (432,)
-    for field in ("errors", "wrong_limit"):
-        with pytest.raises(RuntimeError, match="reference solved"):
-            getattr(trace, field)
+    assert trace.wrong_limit is False
+    with pytest.raises(RuntimeError, match="reference solved"):
+        trace.errors
     monkeypatch.undo()
     fresh = gw.run(gauss432, lat432, config)
     assert trace.steps_taken == fresh.steps_taken
@@ -883,6 +884,49 @@ def test_footprint_cap_splits_a_stack_into_batches(target, solver, monkeypatch, 
         assert trace.errors[-1] < 1e-10
     assert solves == [stack.shape[1:]] * 5
     _assert_same_runs(traces, [gw.run(g, lat600, config) for g in windows])
+
+
+def test_wrong_limit_agrees_with_the_reference_error_on_sweep_grids():
+    # the scaling-sweep grids at p = 1, 2 and 3: on every converged member the
+    # sign of the mixed Gram reads the branch the reference error reads
+    flags = []
+    for L, a, b in ((240, 12, 10), (216, 12, 12), (432, 18, 18)):
+        lattice = gw.derive_lattice(L, a, b)
+        fac = gw.factorize(gw.gaussian_window(L).astype(complex), lattice)
+        B = gw.frame_bounds(gw.block_gram(fac, fac)).upper
+        for target, upper in (("tight", 5.3), ("dual", 2.9)):
+            grid = np.round(np.arange(0.1, upper + 1e-9, 0.2), 10)
+            stack = np.stack([fac.blocks] * len(grid))
+            for order in (2, 3):
+                config = IterationConfig(target=target, order=order, scaling="initial",
+                                         max_steps=80)
+                for trace in _run_stack(stack, lattice, config, [B / x for x in grid],
+                                        every=False):
+                    if trace.converged:
+                        assert trace.wrong_limit is wrong_limit_by_error(trace), (
+                            L, target, order, trace.config.Bhat)
+                        flags.append(trace.wrong_limit)
+    assert 0 < sum(flags) < len(flags)
+
+
+@pytest.mark.parametrize("name", ["I", "II", "III", "IV", "V"])
+def test_loose_tol_converges_on_the_right_branch(name, lat432, gauss432):
+    # tol = 0.1 stops after 2 steps, not yet accurate but on the right branch
+    trace = gw.run(gauss432, lat432, IterationConfig.from_algorithm(name, tol=0.1))
+    assert trace.stop_reason == "converged" and trace.steps_taken == 2
+    assert 1e-6 < trace.errors[-1] < 1e-2 and wrong_limit_by_error(trace)
+    assert trace.wrong_limit is False
+
+
+def test_dual_wrong_limit_of_V_under_norm_scaling():
+    # at B/A of about 8e7 the published V converges, by its step, to another
+    # limit; its sign shows in the mixed Gram as in the tight case
+    lattice = gw.derive_lattice(240, 12, 10)
+    g = gw.gaussian_window(240, 0.05).astype(complex)
+    trace = gw.run(g, lattice, IterationConfig.from_algorithm("V"))
+    assert trace.stop_reason == "converged" and trace.steps_taken == 34
+    assert trace.wrong_limit is True
+    assert trace.errors[-1] == pytest.approx(1.41, abs=0.01)
 
 
 @pytest.mark.parametrize("every", [True, False])

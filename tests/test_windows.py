@@ -53,6 +53,14 @@ def test_window_rejects_bad_width():
                 make(120, w)
 
 
+@pytest.mark.parametrize("make,w", [(gw.gaussian_window, 1e12), (gw.sech_window, 1e11),
+                                    (gw.gaussian_window, 1e300)])
+def test_window_too_wide_to_periodize_is_named(make, w):
+    # 1e12 needs about 1.8e5 shells: far past the bound, checked before summing
+    with pytest.raises(ValueError, match="more than 1000 periodization shells at L = 432"):
+        make(432, w)
+
+
 def test_monster_unmodified_is_gaussian(lat600):
     # the constructor picks the top symmetric eigenvalue, so asking for the
     # unmodified singular value must return the Gaussian itself
