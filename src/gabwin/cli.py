@@ -254,8 +254,7 @@ def _sweep_windows(lattice):
 
 def exp_precision(args, lattice, g):
     stack, facs = _sweep_windows(lattice)
-    traces = _run_stack(stack, lattice, IterationConfig.from_algorithm("II", max_steps=40),
-                        every=False)
+    traces = _run_stack(stack, lattice, IterationConfig.from_algorithm("II", max_steps=40))
 
     def dln(x):  # of the unit-norm window whose Zak blocks are x
         return diagnostics._off_origin_mass(diagnostics._unit_correlations(x, x, lattice))
@@ -269,15 +268,16 @@ def exp_precision(args, lattice, g):
 def exp_iterations_vs_ratio(args, lattice, g):
     stack, facs = _sweep_windows(lattice)
     grams = [block_gram(fac, fac) for fac in facs]
-    Bhat = [upper_frame_bound_estimate(S) for S in grams]
+    Bhat = np.array([upper_frame_bound_estimate(S) for S in grams])
+    prescaled = stack / np.sqrt(Bhat)[:, None, None, None, None]
     rows = [[w, frame_bounds(S).ratio] for w, S in zip(_W_SWEEP, grams)]
     for name in _ALGOS:
         initial = name != "I"
         config = IterationConfig.from_algorithm(
-            name, max_steps=60, **({"scaling": "initial"} if initial else {}))
+            name, max_steps=60, **({"scaling": "initial", "Bhat": 1.0} if initial else {}))
         # one algorithm's traces at a time: each holds two iterands a member
         steps = [_steps_to_converge(trace) for trace in
-                 _run_stack(stack, lattice, config, Bhat if initial else None, every=False)]
+                 _run_stack(prescaled if initial else stack, lattice, config)]
         for row, n in zip(rows, steps):
             row.append(n)
     return ["w", "frame_bound_ratio", "steps_I", "steps_II", "steps_III",
@@ -300,13 +300,13 @@ def exp_scaling_sweep(args, lattice, g):
     B_best = _frame_bounds(fac).upper
     upper = 5.3 if args.target == "tight" else 2.9
     grid = np.round(np.arange(0.1, upper + 1e-9, 0.2), 10)
-    stack = np.broadcast_to(fac.blocks, (len(grid),) + fac.blocks.shape)
+    # g prescaled to upper bound b, under the raw polynomial
+    stack = fac.blocks / np.sqrt(B_best / grid)[:, None, None, None, None]
     rows = [[b_scaled] for b_scaled in grid]
     for order in (2, 3):
         config = IterationConfig(target=args.target, order=order, scaling="initial",
-                                 max_steps=80)
-        cells = [_sweep_cells(trace) for trace in
-                 _run_stack(stack, lattice, config, [B_best / b for b in grid], every=False)]
+                                 Bhat=1.0, max_steps=80)
+        cells = [_sweep_cells(trace) for trace in _run_stack(stack, lattice, config)]
         for row, cell in zip(rows, cells):
             row += cell
     header = ["B_scaled", "steps_m2", "flag_m2", "steps_m3", "flag_m3"]

@@ -16,12 +16,13 @@ Z^(2r) gamma = (S S_k)^r gamma and Z^(2r+1) gamma = (S S_k)^r S_k g.
 One loop (_iterate, after _prescale) holds the step rules, the scalings and
 the stopping rule.  It runs a stack of members on a leading member axis,
 each member the blocks of one window: every member keeps its own norms,
-relative steps and stop, and leaves the stack when it stops.  run() is a
-batch of one: it factorizes the window and keeps the iterands' blocks
-(one step is a fixed one-step run).  _run_stack runs the windows of a
-sweep under one config, each with its own initial-scaling constant if
-given, in batches capped by their footprint, and scalar_iteration runs
-one member of 1 x 1 blocks of singular values.  The stack is stored
+relative steps and stop, and leaves the stack when it stops.  Each way in
+takes windows and a config: run() (a batch of one that keeps every
+iterand; one step is a fixed one-step run), _run_stack (a sweep, in
+batches capped by their footprint, each trace keeping its start and last
+iterand) and scalar_iteration (one member of 1 x 1 blocks of singular
+values).  _prescale gives each member its start constant by one rule
+(_start_constant).  The stack is stored
 member-major, each member contiguous, so a member's norm is a dot
 product over its memory; at p = 2 as (n, p, q, ..., c, d) planar storage
 (see zak).  At p <= 2 every step is whole-plane products, the Cholesky
@@ -45,7 +46,7 @@ from .canonical import cholesky_solve_blocks, inv_dual, svd_tight
 from .errors import NotAFrameError
 from .lattice import GaborLattice
 from .zak import (BlockOperator, ZakFactorization, _block_product, _gram_blocks,
-                  _hermitian_eigvals, _over, block_gram, factorize, unfactorize)
+                  _hermitian_eigvals, _over, factorize, unfactorize)
 
 __all__ = [
     "EPS",
@@ -337,9 +338,9 @@ class IterationTrace:
     signal; ``bounds[k]``, (A_k, B_k) for tight targets and the Z-bounds
     (E_k, F_k) for dual ones; and ``dual_lattice_norms[k]``, that of the
     normalized gamma_k (against the normalized g for dual targets).  The
-    last two share one Gram per iterand.  A sweep's trace may keep the
-    blocks of its start and last iterand only (see _run_stack), and then
-    has an error for each.
+    last two share one Gram per iterand.  A sweep's trace (see _run_stack)
+    always keeps the blocks of its start and last iterand only, and has an
+    error for each.
     """
 
     config: IterationConfig
@@ -408,23 +409,30 @@ def _diverging(rel_steps: list) -> bool:
             and any(r[i] < r[i - 1] for i in range(1, len(r) - 3)))
 
 
-def _prescale(g_blocks: np.ndarray, config: IterationConfig, Bhat) -> np.ndarray:
-    """The stack the iteration starts from, member by member: g / Bhat^(1/2)
-    (initial, Bhat holding each member's constant), g over the root of the
-    optimal constant of its frame bounds (initial_optimal), else g; at
+def _start_constant(g: np.ndarray, lattice: GaborLattice, config: IterationConfig) -> float:
+    """config.Bhat when set, else from one Gram of the window whose blocks
+    are g: its upper frame bound estimate (initial) or the optimal constant
+    of its frame bounds (initial_optimal)."""
+    if config.Bhat is not None:
+        return config.Bhat
+    S = _gram_blocks(g, g)
+    if config.scaling == "initial":
+        return upper_frame_bound_estimate(BlockOperator(lattice, S))
+    bounds = diagnostics._spectrum(S, "tight")
+    if not bounds.is_frame:
+        raise NotAFrameError("not a frame: cannot compute optimal scaling")
+    return optimal_scaling_constant(bounds.lower, bounds.upper, config.algorithm_name)
+
+
+def _prescale(g_blocks: np.ndarray, lattice: GaborLattice, config: IterationConfig) -> np.ndarray:
+    """The stack the iteration starts from, member by member: g over the
+    root of its _start_constant (initial, initial_optimal), else g; at
     p = 2 copied into planar storage (see _members).  Raises ValueError when
     the squared norm of a member underflows, as every bound would."""
     finfo = np.finfo(g_blocks.dtype)
-    if config.scaling == "initial_optimal":
-        Bhat = []
-        for g in g_blocks:
-            bounds = diagnostics._spectrum(_gram_blocks(g, g), "tight")
-            if not bounds.is_frame:
-                raise NotAFrameError("not a frame: cannot compute optimal scaling")
-            Bhat.append(optimal_scaling_constant(bounds.lower, bounds.upper,
-                                                 config.algorithm_name))
     if config.scaling in ("initial", "initial_optimal"):
-        Bhat = np.array([_checked_Bhat(b) for b in Bhat], dtype=finfo.dtype)
+        Bhat = np.array([_checked_Bhat(_start_constant(g, lattice, config)) for g in g_blocks],
+                        dtype=finfo.dtype)
         g_blocks = g_blocks / _per_member(np.sqrt(Bhat), g_blocks)
     g_norm, least = min(_each(_norms(g_blocks))), np.sqrt(finfo.tiny)
     if not g_norm >= least:
@@ -533,57 +541,43 @@ def _budget_stop(iterands: list, rel_steps: list, config: IterationConfig) -> st
     return "budget"
 
 
-def _run_stack(stack: np.ndarray, lattice: GaborLattice, config: IterationConfig,
-               Bhat=None, every: bool = True) -> list:
+def _run_stack(stack: np.ndarray, lattice: GaborLattice, config: IterationConfig) -> list:
     """Run every member of a stack (n, c, d, p, q) of window blocks under one
-    config and record each: one trace per member, in order.  ``Bhat``, when
-    given, holds each member's initial-scaling constant (the traces' configs
-    record it); under initial scaling without it, config.Bhat or else the
-    estimate of each member's window.  The members run in batches of at
-    most _STACK_BYTES of blocks.  Unless ``every``, a trace keeps the blocks
-    of its start and last iterand only (see _iterate)."""
-    configs = [config] * len(stack) if Bhat is None else [replace(config, Bhat=b) for b in Bhat]
-    if Bhat is None and config.scaling == "initial":
-        Bhat = [config.Bhat if config.Bhat is not None else upper_frame_bound_estimate(
-                    block_gram(fac, fac)) for fac in (ZakFactorization(lattice, g)
-                                                      for g in stack)]
+    config and record each: one trace per member, in order, which keeps the
+    blocks of its start and last iterand (see _iterate).  The members run in
+    batches of at most _STACK_BYTES of blocks."""
     size = max(1, _STACK_BYTES // stack[0].nbytes)
-    traces = []
-    for lo in range(0, len(stack), size):
-        starts = _prescale(stack[lo:lo + size], config,
-                           None if Bhat is None else Bhat[lo:lo + size])
-        traces += [IterationTrace(configs[lo + member], lattice, *result)
-                   for member, result in enumerate(_iterate(starts, config, every))]
-    return traces
+    return [IterationTrace(config, lattice, *result) for lo in range(0, len(stack), size)
+            for result in _iterate(_prescale(stack[lo:lo + size], lattice, config), config,
+                                   every=False)]
 
 
 def run(g: np.ndarray, lattice: GaborLattice, config: IterationConfig) -> IterationTrace:
     """Run an iteration to the configured stopping rule and record it."""
-    return _run_stack(factorize(g, lattice).blocks[None], lattice, config)[0]
+    start = _prescale(factorize(g, lattice).blocks[None], lattice, config)
+    return IterationTrace(config, lattice, *_iterate(start, config)[0])
 
 
-def scalar_iteration(sigmas: np.ndarray, config: IterationConfig,
-                     steps: int | None = None) -> np.ndarray:
+def scalar_iteration(sigmas: np.ndarray, config: IterationConfig) -> np.ndarray:
     """Run an iteration as a scalar recursion on singular values.
 
     This is the block iteration of ``run`` on 1 x 1 blocks: sigma viewed as
     one member, a batch of n (1, 1, 1, 1) blocks with Gram sigma^2, for
-    exactly ``steps`` steps (default ``config.max_steps``).  Returns the
-    (steps+1, n) trace of sigma vectors; a run that diverges (an iterand
+    exactly ``config.max_steps`` steps, whatever its stop mode.  Returns the
+    (max_steps+1, n) trace of sigma vectors; a run that diverges (an iterand
     whose norm is not finite) is frozen at the iterand before.  Norm scaling
     is scale-invariant in the input; for initial scaling pass raw singular
-    values (so sigma^2 is the frame-operator spectrum) and an explicit Bhat.
-    Computations stay in the input dtype, so longdouble input gives an
-    extended-precision trace.
+    values (so sigma^2 is the frame-operator spectrum) and an explicit Bhat
+    (no lattice, no estimate).  Computations stay in the input dtype, so
+    longdouble input gives an extended-precision trace.
     """
     if config.scaling == "initial" and config.Bhat is None:
         raise ValueError("initial scaling of a scalar run needs an explicit Bhat")
-    steps = config.max_steps if steps is None else steps
-    config = replace(config, stop_mode="fixed", max_steps=steps, tol=None)
-    sig = _prescale(np.asarray(sigmas).reshape(1, -1, 1, 1, 1, 1), config, [config.Bhat])
+    config = replace(config, stop_mode="fixed", tol=None)
+    sig = _prescale(np.asarray(sigmas).reshape(1, -1, 1, 1, 1, 1), None, config)
     # fixed steps stop early only on a non-finite iterand: freeze at the last one
     trace = [blocks.reshape(-1) for blocks in _iterate(sig, config)[0][0]]
-    return np.array(trace + trace[-1:] * (steps + 1 - len(trace)))
+    return np.array(trace + trace[-1:] * (config.max_steps + 1 - len(trace)))
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,8 @@ def gaussian_window(L: int, w: float = 1.0) -> np.ndarray:
     """Sampled-periodized dilated Gaussian, unit norm, even about sample 0."""
     if not 0 < w < np.inf:  # a non-finite w would periodize forever
         raise ValueError(f"width w must be positive and finite, got {w}")
-    vals = _periodize(L, w, lambda t, w: np.exp(-np.pi * t * t / w))
+    with np.errstate(over="ignore"):  # at tiny w t^2 / w overflows: exp(-inf) is the tail's 0
+        vals = _periodize(L, w, lambda t, w: np.exp(-np.pi * t * t / w))
     return (w * L / 2.0) ** (-0.25) * vals
 
 
@@ -97,6 +98,10 @@ def monster_window(lattice: GaborLattice, sigma_real: float = 6.0) -> np.ndarray
     if not (np.isfinite(sigma_real) and sigma_real > 0):
         raise ValueError("monster singular value must be positive and finite, "
                          f"got {sigma_real}")
+    largest = np.sqrt(np.finfo(float).max / lattice.L)  # above it the Gram overflows
+    if sigma_real > largest:
+        raise ValueError(f"monster singular value {sigma_real} overflows: above "
+                         f"sqrt(max float / L) = {largest:.17g} at L = {lattice.L}")
     g = gaussian_window(lattice.L).astype(complex)
     G = factorize(g, lattice)
     lam, U = np.linalg.eigh(block_gram(G, G).blocks)

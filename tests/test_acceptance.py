@@ -72,8 +72,8 @@ def test_criterion_03_convergence_orders(lat432, gauss432, ref_tight432):
     # singular-value recursions of the same frame (block/scalar equivalence)
     sig = gw.normalized_singular_values(gauss432, lat432).astype(np.longdouble)
     for name in ("III", "V"):
-        cfg = IterationConfig.from_algorithm(name)
-        strace = gw.scalar_iteration(sig, cfg, steps=9)
+        cfg = IterationConfig.from_algorithm(name, max_steps=9)
+        strace = gw.scalar_iteration(sig, cfg)
         ref_idx = 9 if name == "III" else 5
         ref = strace[ref_idx] / np.sqrt((strace[ref_idx] ** 2).sum())
         errs = [float(np.sqrt((((t / np.sqrt((t * t).sum())) - ref) ** 2).sum()))
@@ -125,7 +125,7 @@ def test_criterion_05_scalar_oracle(lat432, gauss432):
     for name in ("I", "II", "III", "IV", "V"):
         cfg = IterationConfig.from_algorithm(name, stop_mode="fixed", max_steps=6)
         tr = gw.run(gauss432, lat432, cfg)
-        strace = gw.scalar_iteration(sig, cfg, steps=6)
+        strace = gw.scalar_iteration(sig, cfg)
         for k in range(7):
             sk = gw.normalized_singular_values(tr.iterands[k], lat432)
             dev = np.abs(np.sort(strace[k]) - np.sort(sk)).max() / sk.max()
@@ -193,8 +193,8 @@ def test_criterion_08_attraction_regions(lat432, gauss432):
 
     def converges(target, order, b_scaled):
         cfg = IterationConfig(target=target, order=order, scaling="initial",
-                              Bhat=B / b_scaled)
-        trace = gw.scalar_iteration(sig, cfg, steps=400)
+                              Bhat=B / b_scaled, max_steps=400)
+        trace = gw.scalar_iteration(sig, cfg)
         final = trace[-1]
         if target == "tight":
             dev = np.abs(final - 1.0).max()

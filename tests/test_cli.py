@@ -1,5 +1,6 @@
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,34 @@ def test_window_too_wide_to_periodize_exit_code(tmp_path, capsys):
     assert code == 1
     assert "periodization shells" in capsys.readouterr().err
     assert not (tmp_path / "wide.report.json").exists()
+
+
+def test_monster_overflow_bound_exit_code(tmp_path, capsys):
+    # at L = 432 the largest sigma whose Gram stays finite makes a system
+    # that is not a frame (exit 2); the next float up is named (exit 1)
+    largest = float(np.sqrt(np.finfo(float).max / 432))
+    above = float(np.nextafter(largest, np.inf))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("canonical", "--window", f"monster:{largest!r}",
+                       "--out", tmp_path / "top") == 2
+        assert run_cli("canonical", "--window", f"monster:{above!r}",
+                       "--out", tmp_path / "over") == 1
+        assert run_cli("experiment", "monster", "--sigma", 1e155,
+                       "--out", tmp_path / "over.csv") == 1
+    err = capsys.readouterr().err
+    assert f"monster singular value {above!r} overflows" in err
+    assert "monster singular value 1e+155 overflows" in err
+    assert not (tmp_path / "over.report.json").exists()
+    assert not (tmp_path / "over.csv").exists()
+
+
+@pytest.mark.parametrize("w", ["1e-300", "1e-310"])
+def test_tiny_gaussian_is_not_a_frame_without_warning(tmp_path, w):
+    # a spike at 0: exp(-pi t^2 / w) overflows to the 0 of the tail
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("canonical", "--window", f"gauss:{w}", "--out", tmp_path / "spike") == 2
 
 
 @pytest.mark.parametrize("method,target", [("iter:II", "tight"), ("iter:IV", "dual")])

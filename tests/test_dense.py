@@ -145,16 +145,16 @@ def test_dense_imports_no_method_of_the_package():
 
 
 def test_scalar_flat_spectrum_one_step():
-    cfg = IterationConfig.from_algorithm("II")
+    cfg = IterationConfig.from_algorithm("II", max_steps=1)
     sig = np.full(24, 3.7)
-    trace = gw.scalar_iteration(sig, cfg, steps=1)
+    trace = gw.scalar_iteration(sig, cfg)
     assert np.allclose(trace[1], trace[1][0])
 
 
 def test_scalar_converges_fast(lat432, gauss432):
-    cfg = IterationConfig.from_algorithm("II")
+    cfg = IterationConfig.from_algorithm("II", max_steps=6)
     sig = gw.normalized_singular_values(gauss432, lat432)
-    trace = gw.scalar_iteration(sig, cfg, steps=6)
+    trace = gw.scalar_iteration(sig, cfg)
     final = trace[-1]
     # flat limit within a few ulps of machine precision after 6 steps
     assert np.abs(final / final.mean() - 1).max() < 1e-13
@@ -165,8 +165,8 @@ def test_scalar_dual_initial_quadratic(lat432, gauss432):
     sig = np.linalg.svd(gw.synthesis_matrix(gauss432, lat432).entries,
                         compute_uv=False)
     Bhat = (sig ** 2).max() / 1.8
-    cfg = IterationConfig(target="dual", order=2, scaling="initial", Bhat=Bhat)
-    trace = gw.scalar_iteration(sig, cfg, steps=8)
+    cfg = IterationConfig(target="dual", order=2, scaling="initial", Bhat=Bhat, max_steps=8)
+    trace = gw.scalar_iteration(sig, cfg)
     s0 = sig / np.sqrt(Bhat)
     devs = [np.abs(s0 * trace[k] - 1.0).max() for k in range(9)]
     assert devs[7] < 1e-10

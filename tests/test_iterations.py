@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 import gabwin as gw
 from gabwin.errors import NotAFrameError
 from gabwin import iterations
-from gabwin.iterations import (EPS, IterationConfig, _combine, _diverging, _run_stack,
-                               flop_estimate)
+from gabwin.iterations import (EPS, IterationConfig, IterationTrace, _combine, _diverging,
+                               _iterate, _prescale, _run_stack, flop_estimate)
 
 from oracles import DivergenceDetector, scalar_recursion, taylor_inv_coeffs, \
     taylor_inv_sqrt_coeffs, wrong_limit_by_error
@@ -192,7 +192,7 @@ def test_block_matches_scalar_trace(name, scaling, steps, lat432, gauss432, sigm
                                          stop_mode="fixed", max_steps=steps)
     trace = gw.run(gauss432, lat432, cfg)
     unit = 1.0 if scaling == "norm" else np.sqrt(lat432.M * lat432.N)
-    strace = gw.scalar_iteration(sigma432 * unit, cfg, steps=steps)
+    strace = gw.scalar_iteration(sigma432 * unit, cfg)
     assert strace.shape == (steps + 1, lat432.L)
     for k in range(steps + 1):
         # the singular values of O_gamma: the roots of the frame-operator
@@ -221,10 +221,10 @@ _ORACLE_EPS = {"norm": {np.float64: 16, np.longdouble: 64}}
 def test_scalar_iteration_matches_recursion_oracle(name, scaling, dtype, lat432, gauss432,
                                                    sigma432):
     Bhat = _Bhat(gauss432, lat432) if scaling == "initial" else None
-    cfg = IterationConfig.from_algorithm(name, scaling=scaling, Bhat=Bhat)
+    cfg = IterationConfig.from_algorithm(name, scaling=scaling, Bhat=Bhat, max_steps=12)
     unit = 1.0 if scaling == "norm" else np.sqrt(lat432.M * lat432.N)
     sig = (sigma432 * unit).astype(dtype)
-    got = gw.scalar_iteration(sig, cfg, steps=12)
+    got = gw.scalar_iteration(sig, cfg)
     want = scalar_recursion(sig, cfg, steps=12)
     assert got.dtype == dtype and got.shape == want.shape == (13, len(sig))
     bound = _ORACLE_EPS.get(scaling, {}).get(dtype, 8) * np.finfo(dtype).eps
@@ -236,8 +236,8 @@ def test_scalar_iteration_freezes_a_diverging_run(lat432, sigma432):
     # II's map sigma (3 - sigma^2) / 2 starts to grow |sigma|
     sig = sigma432 * np.sqrt(lat432.M * lat432.N)
     cfg = IterationConfig.from_algorithm("II", scaling="initial",
-                                         Bhat=float((sig ** 2).max()) / 6)
-    trace = gw.scalar_iteration(sig, cfg, steps=20)
+                                         Bhat=float((sig ** 2).max()) / 6, max_steps=20)
+    trace = gw.scalar_iteration(sig, cfg)
     assert trace.shape == (21, len(sig)) and np.isfinite(trace).all()
     frozen = [k for k in range(1, 21) if np.array_equal(trace[k], trace[k - 1])]
     assert frozen == list(range(frozen[0], 21)) and np.abs(trace[-1]).max() > 1e90
@@ -735,8 +735,8 @@ def test_orders_at_good_conditioning_longdouble():
     sig = gw.normalized_singular_values(g, lt).astype(np.longdouble)
     expected = {"II": 1.9, "III": 2.7, "IV": 1.9, "V": 2.7}
     for name, floor in expected.items():
-        cfg = IterationConfig.from_algorithm(name)
-        strace = gw.scalar_iteration(sig, cfg, steps=9)
+        cfg = IterationConfig.from_algorithm(name, max_steps=9)
+        strace = gw.scalar_iteration(sig, cfg)
         ref_idx = 9 if name in ("II", "III") else 5
         ref = strace[ref_idx] / np.sqrt((strace[ref_idx] ** 2).sum())
         errs = [float(np.sqrt((((t / np.sqrt((t * t).sum())) - ref) ** 2).sum()))
@@ -801,6 +801,40 @@ def _assert_same_runs(traces, singles):
         assert trace.errors == single.errors
 
 
+def _assert_same_ends(traces, singles):
+    """Each sweep trace keeps its member's start and last iterand of its own
+    run() bit for bit, with every relative step, the stop reason and the
+    errors of the two."""
+    assert len(traces) == len(singles)
+    for trace, single in zip(traces, singles):
+        assert trace.stop_reason == single.stop_reason
+        assert trace.rel_steps == single.rel_steps
+        want = single.blocks[:1] + single.blocks[1:][-1:]
+        assert len(trace.blocks) == len(want)
+        for got, ref in zip(trace.blocks, want):
+            assert got.shape == ref.shape and np.array_equal(got, ref)
+        assert trace.errors == [single.errors[0], single.errors[-1]][:len(want)]
+        assert trace.wrong_limit is single.wrong_limit
+
+
+def _assert_stack_matches(stack, lattice, config, singles):
+    """The members of a stack, prescaled and iterated as one batch, give each
+    its own run() bit for bit at every iterand, and _run_stack gives each
+    its start and last iterand; returns _run_stack's traces."""
+    full = [IterationTrace(config, lattice, *result)
+            for result in _iterate(_prescale(stack, lattice, config), config)]
+    _assert_same_runs(full, singles)
+    traces = _run_stack(stack, lattice, config)
+    _assert_same_ends(traces, singles)
+    return traces
+
+
+def _prescaled(blocks, Bhat):
+    """A stack of the window blocks over the root of each constant Bhat: the
+    windows a sweep runs with Bhat = 1."""
+    return blocks / np.sqrt(np.asarray(Bhat))[:, None, None, None, None]
+
+
 _STACK_LATTICES = {1: (240, 12, 10), 2: (600, 20, 20), 3: (432, 18, 18)}
 
 
@@ -816,8 +850,7 @@ def test_stacked_members_match_their_own_runs(p, name, scaling):
     windows.append(gw.sech_window(L, 0.8).astype(complex))
     config = IterationConfig.from_algorithm(name, scaling=scaling, max_steps=12)
     stack = np.stack([gw.factorize(g, lt).blocks for g in windows])
-    _assert_same_runs(_run_stack(stack, lt, config),
-                      [gw.run(g, lt, config) for g in windows])
+    _assert_stack_matches(stack, lt, config, [gw.run(g, lt, config) for g in windows])
 
 
 def _gauss432_and_B(lat432, gauss432):
@@ -830,14 +863,13 @@ def test_stacked_members_stop_each_for_its_own_reason(lat432, gauss432):
     # budget of 15 steps; the members stop at different steps
     fac, B = _gauss432_and_B(lat432, gauss432)
     grid = (1.0, 3.3, 3.9, 4.1, 5.1)
-    config = IterationConfig(order=2, scaling="initial", max_steps=15)
-    traces = _run_stack(np.stack([fac.blocks] * len(grid)), lat432, config,
-                        [B / b for b in grid])
+    config = IterationConfig(order=2, scaling="initial", Bhat=1.0, max_steps=15)
+    singles = [gw.run(gauss432, lat432, replace(config, Bhat=B / b)) for b in grid]
+    traces = _assert_stack_matches(_prescaled(fac.blocks, [B / b for b in grid]), lat432,
+                                   config, singles)
     assert [t.stop_reason for t in traces] == [
         "converged", "budget", "converged", "diverging", "non_finite"]
-    assert [t.config.Bhat for t in traces] == [B / b for b in grid]
-    _assert_same_runs(traces, [gw.run(gauss432, lat432, replace(config, Bhat=B / b))
-                               for b in grid])
+    assert all(np.array_equal(t.blocks[0], s.blocks[0]) for t, s in zip(traces, singles))
     assert [t.wrong_limit for t in traces] == [False, False, True, True, True]
 
 
@@ -848,12 +880,13 @@ def test_stacked_two_cycle_is_oscillating(lat432, gauss432):
     fac_t = gw.factorize(tight, lat432)
     B_t = gw.frame_bounds(gw.block_gram(fac_t, fac_t)).upper
     fac, B = _gauss432_and_B(lat432, gauss432)
-    config = IterationConfig(order=2, scaling="initial", max_steps=6)
-    traces = _run_stack(np.stack([fac_t.blocks, fac.blocks]), lat432, config,
-                        [B_t / 5, B])
+    config = IterationConfig(order=2, scaling="initial", Bhat=1.0, max_steps=6)
+    stack = np.concatenate([_prescaled(fac_t.blocks, [B_t / 5]), _prescaled(fac.blocks, [B])])
+    singles = [gw.run(tight, lat432, replace(config, Bhat=B_t / 5)),
+               gw.run(gauss432, lat432, replace(config, Bhat=B))]
+    traces = _assert_stack_matches(stack, lat432, config, singles)
     assert [t.stop_reason for t in traces] == ["oscillating", "converged"]
-    _assert_same_runs(traces, [gw.run(tight, lat432, replace(config, Bhat=B_t / 5)),
-                               gw.run(gauss432, lat432, replace(config, Bhat=B))])
+    assert all(np.array_equal(t.blocks[0], s.blocks[0]) for t, s in zip(traces, singles))
 
 
 @pytest.mark.parametrize("target,solver", [("tight", "svd_tight"), ("dual", "inv_dual")])
@@ -863,9 +896,9 @@ def test_footprint_cap_splits_a_stack_into_batches(target, solver, monkeypatch, 
     batches, solves = [], []
     iterate, solve = iterations._iterate, getattr(iterations, solver)
 
-    def counted_iterate(g_blocks, *args):
+    def counted_iterate(g_blocks, config, every=True):
         batches.append(len(g_blocks))
-        return iterate(g_blocks, *args)
+        return iterate(g_blocks, config, every)
 
     def counted_solve(fac):
         solves.append(fac.blocks.shape)
@@ -883,7 +916,7 @@ def test_footprint_cap_splits_a_stack_into_batches(target, solver, monkeypatch, 
     for trace in traces:
         assert trace.errors[-1] < 1e-10
     assert solves == [stack.shape[1:]] * 5
-    _assert_same_runs(traces, [gw.run(g, lat600, config) for g in windows])
+    _assert_same_ends(traces, [gw.run(g, lat600, config) for g in windows])
 
 
 def test_wrong_limit_agrees_with_the_reference_error_on_sweep_grids():
@@ -896,15 +929,14 @@ def test_wrong_limit_agrees_with_the_reference_error_on_sweep_grids():
         B = gw.frame_bounds(gw.block_gram(fac, fac)).upper
         for target, upper in (("tight", 5.3), ("dual", 2.9)):
             grid = np.round(np.arange(0.1, upper + 1e-9, 0.2), 10)
-            stack = np.stack([fac.blocks] * len(grid))
+            stack = _prescaled(fac.blocks, B / grid)
             for order in (2, 3):
                 config = IterationConfig(target=target, order=order, scaling="initial",
-                                         max_steps=80)
-                for trace in _run_stack(stack, lattice, config, [B / x for x in grid],
-                                        every=False):
+                                         Bhat=1.0, max_steps=80)
+                for x, trace in zip(grid, _run_stack(stack, lattice, config)):
                     if trace.converged:
                         assert trace.wrong_limit is wrong_limit_by_error(trace), (
-                            L, target, order, trace.config.Bhat)
+                            L, target, order, x)
                         flags.append(trace.wrong_limit)
     assert 0 < sum(flags) < len(flags)
 
@@ -929,20 +961,15 @@ def test_dual_wrong_limit_of_V_under_norm_scaling():
     assert trace.errors[-1] == pytest.approx(1.41, abs=0.01)
 
 
-@pytest.mark.parametrize("every", [True, False])
-def test_sweep_traces_keep_the_start_and_last_iterand(every, lat432, gauss432):
+def test_sweep_traces_keep_the_start_and_last_iterand(lat432, gauss432):
+    # against the same members iterated keeping every iterand
     fac, B = _gauss432_and_B(lat432, gauss432)
-    config = IterationConfig.from_algorithm("IV", scaling="initial", max_steps=30)
-    stack = np.stack([fac.blocks] * 3)
-    full = _run_stack(stack, lat432, config, [B, B / 2, B / 2.5])
-    traces = _run_stack(stack, lat432, config, [B, B / 2, B / 2.5], every=every)
-    for trace, kept in zip(full, traces):
-        assert kept.rel_steps == trace.rel_steps and kept.stop_reason == trace.stop_reason
-        want = trace.blocks if every else [trace.blocks[0], trace.blocks[-1]]
-        assert len(kept.blocks) == len(want)
-        assert all(np.array_equal(x, y) for x, y in zip(kept.blocks, want))
-        assert kept.errors[-1] == trace.errors[-1]
-        assert kept.wrong_limit is trace.wrong_limit
+    config = IterationConfig.from_algorithm("IV", scaling="initial", Bhat=1.0, max_steps=30)
+    stack = _prescaled(fac.blocks, [B, B / 2, B / 2.5])
+    full = [IterationTrace(config, lat432, *result)
+            for result in _iterate(_prescale(stack, lat432, config), config)]
+    assert any(len(trace.blocks) > 2 for trace in full)
+    _assert_same_ends(_run_stack(stack, lat432, config), full)
 
 
 def _literal_step(name, gamma, g, S_of, S_fixed):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,15 @@ def test_window_too_wide_to_periodize_is_named(make, w):
     # 1e12 needs about 1.8e5 shells: far past the bound, checked before summing
     with pytest.raises(ValueError, match="more than 1000 periodization shells at L = 432"):
         make(432, w)
+
+
+@pytest.mark.parametrize("w", [1e-300, 1e-310])
+def test_gaussian_at_tiny_width_is_a_spike(w):
+    # exp(-pi t^2 / w) overflows to the 0 of the tail, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = gw.gaussian_window(432, w)
+    assert np.isfinite(g).all() and g[0] > 0 and not g[1:].any()
 
 
 def test_monster_unmodified_is_gaussian(lat600):
@@ -145,3 +156,15 @@ def test_monster_above_dense_limit(dims):
 def test_monster_rejects_bad_singular_value(lat600, sigma):
     with pytest.raises(ValueError, match="positive and finite"):
         gw.monster_window(lat600, sigma)
+
+
+@pytest.mark.parametrize("L,a,b", [(432, 18, 18), (600, 20, 20), (240, 12, 10)])
+def test_monster_rejects_an_overflowing_singular_value(L, a, b):
+    # sqrt(max float / L) is the largest sigma taken, with no warning
+    lattice = gw.derive_lattice(L, a, b)
+    largest = np.sqrt(np.finfo(float).max / L)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(gw.monster_window(lattice, largest)).all()
+        with pytest.raises(ValueError, match="monster singular value .* overflows"):
+            gw.monster_window(lattice, np.nextafter(largest, np.inf))
