@@ -10,6 +10,7 @@ fixed flags; floats are written with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -121,6 +122,12 @@ def _steps_to_converge(trace) -> int:
 
 
 def cmd_canonical(args: argparse.Namespace) -> int:
+    if args.method in ("eig", "svd", "inv", "ref"):
+        given = [flag for flag, keywords in _ITERATION_OPTIONS.items()
+                 if getattr(args, flag[2:]) != keywords["default"]]
+        if given:
+            raise ValueError(f"method {args.method} does not iterate: it takes no "
+                             + ", ".join(given))
     lattice = derive_lattice(args.L, args.a, args.b)
     g = make_window(args.window, lattice).astype(complex)
     fac = factorize(g, lattice)
@@ -204,7 +211,9 @@ def cmd_canonical(args: argparse.Namespace) -> int:
 _ALGOS = ("I", "II", "III", "IV", "V")
 
 
-def exp_convergence(args, lattice, g):
+def exp_convergence(args):
+    lattice = derive_lattice(args.L, args.a, args.b)
+    g = make_window(args.window, lattice).astype(complex)
     rows = []
     traces = {}
     for name in _ALGOS:
@@ -216,7 +225,9 @@ def exp_convergence(args, lattice, g):
     return ["step", "err_I", "err_II", "err_III", "err_IV", "err_V"], rows
 
 
-def exp_scaling_compare(args, lattice, g):
+def exp_scaling_compare(args):
+    lattice = derive_lattice(args.L, args.a, args.b)
+    g = make_window(args.window, lattice).astype(complex)
     traces = [run(g, lattice, IterationConfig.from_algorithm(
                   "II", scaling=scaling, max_steps=args.steps, stop_mode="fixed"))
               for scaling in ("norm", "initial", "initial_optimal", "constant_optimal")]
@@ -226,7 +237,9 @@ def exp_scaling_compare(args, lattice, g):
     return header, rows
 
 
-def exp_monster(args, lattice, g):
+def exp_monster(args):
+    lattice = derive_lattice(args.L, args.a, args.b)
+    g = monster_window(lattice, args.sigma).astype(complex)
     t2 = run(g, lattice, IterationConfig.from_algorithm(
         "II", max_steps=args.steps, stop_mode="fixed"))
     t4 = run(g, lattice, IterationConfig.from_algorithm(
@@ -244,16 +257,17 @@ _W_SWEEP = (1/8, 1/7, 1/6, 1/5, 1/4, 1/3, 1/2, 2/3, 1.0, 1.5, 2.0, 3.0, 4.0,
             5.0, 6.0, 7.0, 8.0)
 
 
-def _sweep_windows(lattice):
-    """The Zak blocks of the Gaussians of the widths _W_SWEEP, stacked, and
-    the factorization of each (a view of the stack)."""
+def _sweep_windows(args):
+    """The lattice of --L --a --b, the stacked Zak blocks of the Gaussians of
+    the widths _W_SWEEP on it, and the factorization of each (a stack view)."""
+    lattice = derive_lattice(args.L, args.a, args.b)
     stack = np.stack([factorize(gaussian_window(lattice.L, w).astype(complex), lattice).blocks
                       for w in _W_SWEEP])
-    return stack, [ZakFactorization(lattice, blocks) for blocks in stack]
+    return lattice, stack, [ZakFactorization(lattice, blocks) for blocks in stack]
 
 
-def exp_precision(args, lattice, g):
-    stack, facs = _sweep_windows(lattice)
+def exp_precision(args):
+    lattice, stack, facs = _sweep_windows(args)
     traces = _run_stack(stack, lattice, IterationConfig.from_algorithm("II", max_steps=40))
 
     def dln(x):  # of the unit-norm window whose Zak blocks are x
@@ -265,8 +279,8 @@ def exp_precision(args, lattice, g):
             "iter_steps"], rows
 
 
-def exp_iterations_vs_ratio(args, lattice, g):
-    stack, facs = _sweep_windows(lattice)
+def exp_iterations_vs_ratio(args):
+    lattice, stack, facs = _sweep_windows(args)
     grams = [block_gram(fac, fac) for fac in facs]
     Bhat = np.array([upper_frame_bound_estimate(S) for S in grams])
     prescaled = stack / np.sqrt(Bhat)[:, None, None, None, None]
@@ -295,9 +309,14 @@ def _sweep_cells(trace) -> list:
     return [_steps_to_converge(trace), flag]
 
 
-def exp_scaling_sweep(args, lattice, g):
+def exp_scaling_sweep(args):
+    lattice = derive_lattice(args.L, args.a, args.b)
+    g = make_window(args.window, lattice).astype(complex)
     fac = factorize(g, lattice)
-    B_best = _frame_bounds(fac).upper
+    bounds = _frame_bounds(fac)
+    if not bounds.is_frame:
+        raise NotAFrameError("input system is not a frame")
+    B_best = bounds.upper
     upper = 5.3 if args.target == "tight" else 2.9
     grid = np.round(np.arange(0.1, upper + 1e-9, 0.2), 10)
     # g prescaled to upper bound b, under the raw polynomial
@@ -379,13 +398,13 @@ def _fibonacci_item(pp, qq, L, a, b, target_ratio):
     return row
 
 
-def exp_fibonacci(args, lattice, g):
+def exp_fibonacci(args):
     rows = [_fibonacci_item(*f, args.ratio) for f in _FIBONACCI]
     return ["p", "q", "L", "a", "b", "w", "frame_bound_ratio",
             "steps_I", "steps_II", "steps_IV"], rows
 
 
-def exp_scalar_lab(args, lattice, g):
+def exp_scalar_lab(args):
     rows = []
     for algo, xmax in (("II", 3.4), ("IV", 2.6)):
         xs = np.round(np.arange(0.1, xmax + 1e-9, 0.1), 10)
@@ -394,31 +413,44 @@ def exp_scalar_lab(args, lattice, g):
     return ["algo", "x", "eps", "classification"], rows
 
 
+# the experiment options' add_argument keywords, and the options each one reads
+_OPTIONS = {
+    "--L": dict(type=int, default=432),
+    "--a": dict(type=int, default=18),
+    "--b": dict(type=int, default=18),
+    "--window": dict(default="gauss:1",
+                     help="gauss:<w> | sech:<w> | monster:<sigma> | file:<path>"),
+    "--target": dict(choices=("tight", "dual"), default="dual"),
+    "--steps": dict(type=int, default=12),
+    "--sigma": dict(type=float, default=6.0, help="monster singular value"),
+    "--ratio": dict(type=float, default=3.0, help="target frame bound ratio"),
+    "--eps": dict(type=float, default=1e-3, help="measure of the second Zak level set"),
+}
+_SYSTEM = ("--L", "--a", "--b", "--window")
 _EXPERIMENTS = {
-    "convergence": (exp_convergence, True),
-    "scaling-compare": (exp_scaling_compare, True),
-    "monster": (exp_monster, True),
-    "precision": (exp_precision, True),
-    "iterations-vs-ratio": (exp_iterations_vs_ratio, True),
-    "scaling-sweep": (exp_scaling_sweep, True),
-    "fibonacci": (exp_fibonacci, False),
-    "scalar-lab": (exp_scalar_lab, False),
+    "convergence": (exp_convergence, _SYSTEM + ("--steps",)),
+    "scaling-compare": (exp_scaling_compare, _SYSTEM + ("--steps",)),
+    "monster": (exp_monster, ("--L", "--a", "--b", "--sigma", "--steps")),
+    "precision": (exp_precision, ("--L", "--a", "--b")),
+    "iterations-vs-ratio": (exp_iterations_vs_ratio, ("--L", "--a", "--b")),
+    "scaling-sweep": (exp_scaling_sweep, _SYSTEM + ("--target",)),
+    "fibonacci": (exp_fibonacci, ("--ratio",)),
+    "scalar-lab": (exp_scalar_lab, ("--eps",)),
+}
+
+# canonical's iteration options; a direct method takes each only at its default
+_ITERATION_OPTIONS = {
+    "--scaling": dict(default="norm", choices=("norm", "initial", "initial-optimal",
+                                               "constant-optimal")),
+    "--Bhat": dict(type=float, default=None,
+                   help="constant of --scaling initial (estimated when omitted)"),
+    "--steps": dict(type=int, default=40),
+    "--tol": dict(type=float, default=None),
 }
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    if args.name not in _EXPERIMENTS:
-        raise ValueError(f"unknown experiment {args.name!r}; choose from "
-                         + ", ".join(sorted(_EXPERIMENTS)))
-    fn, needs_window = _EXPERIMENTS[args.name]
-    lattice = g = None
-    if needs_window:
-        lattice = derive_lattice(args.L, args.a, args.b)
-        spec = args.window
-        if args.name == "monster" and not spec.startswith("monster"):
-            spec = f"monster:{args.sigma if args.sigma is not None else 6.0}"
-        g = make_window(spec, lattice).astype(complex)
-    header, rows = fn(args, lattice, g)
+    header, rows = _EXPERIMENTS[args.name][0](args)
     write_csv(args.out, header, rows)
     if args.json:
         write_sidecar(args.out, args)
@@ -426,55 +458,43 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # built once per process: it takes longer than a small command
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gabwin",
         description="Canonical tight/dual Gabor windows and experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, default_window="gauss:1"):
-        sp.add_argument("--L", type=int, default=432)
-        sp.add_argument("--a", type=int, default=18)
-        sp.add_argument("--b", type=int, default=18)
-        sp.add_argument("--window", default=default_window,
-                        help="gauss:<w> | sech:<w> | monster:<sigma> | file:<path>")
-
     pc = sub.add_parser("canonical", help="compute one canonical window")
-    common(pc)
+    for flag in _SYSTEM:
+        pc.add_argument(flag, **_OPTIONS[flag])
     pc.add_argument("--target", choices=("tight", "dual"), default="tight")
     pc.add_argument("--method", default="iter:II",
                     help="iter:<I..V> | eig | svd | inv | ref")
-    pc.add_argument("--scaling", default="norm",
-                    choices=("norm", "initial", "initial-optimal",
-                             "constant-optimal"))
-    pc.add_argument("--Bhat", type=float, default=None,
-                    help="constant of --scaling initial (estimated when omitted)")
-    pc.add_argument("--steps", type=int, default=40)
-    pc.add_argument("--tol", type=float, default=None)
+    for flag, keywords in _ITERATION_OPTIONS.items():
+        pc.add_argument(flag, **keywords)
     pc.add_argument("--out", required=True,
                     help="basename for <out>.window and <out>.report.json")
     pc.set_defaults(func=cmd_canonical)
 
     pe = sub.add_parser("experiment", help="run a named experiment to CSV")
-    pe.add_argument("name", help="|".join(sorted(_EXPERIMENTS)))
-    common(pe)
-    pe.add_argument("--target", choices=("tight", "dual"), default="dual")
-    pe.add_argument("--steps", type=int, default=12)
-    pe.add_argument("--sigma", type=float, default=None,
-                    help="monster singular value (monster experiment)")
-    pe.add_argument("--ratio", type=float, default=3.0,
-                    help="target frame bound ratio (fibonacci experiment)")
-    pe.add_argument("--eps", type=float, default=1e-3,
-                    help="measure of the second Zak level set (scalar-lab)")
-    pe.add_argument("--out", required=True, help="CSV output path")
-    pe.add_argument("--json", action="store_true",
-                    help="write <out>.json sidecar with config and environment")
-    pe.set_defaults(func=cmd_experiment)
+    names = pe.add_subparsers(dest="name", required=True)
+    for name, (_, flags) in _EXPERIMENTS.items():
+        px = names.add_parser(name)
+        for flag in flags:
+            px.add_argument(flag, **_OPTIONS[flag])
+        px.add_argument("--out", required=True, help="CSV output path")
+        px.add_argument("--json", action="store_true",
+                        help="write <out>.json sidecar with the options and environment")
+        px.set_defaults(func=cmd_experiment)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 on a usage error, 0 after --help
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (NotAFrameError,) as exc:

@@ -300,9 +300,36 @@ def test_Bhat_with_another_scaling_exit_code(tmp_path, capsys, scaling):
     assert not (tmp_path / "x.window").exists()
 
 
-def test_seed_option_removed(tmp_path):
-    with pytest.raises(SystemExit):
-        run_cli("canonical", "--seed", 5, "--out", tmp_path / "x")
+def test_seed_option_removed(tmp_path, capsys):
+    # a usage error exits 1, as every rejected input does (2 is not a frame)
+    assert run_cli("canonical", "--seed", 5, "--out", tmp_path / "x") == 1
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method,target,option", [
+    ("svd", "tight", ("--scaling", "initial")), ("svd", "tight", ("--Bhat", 5)),
+    ("eig", "tight", ("--steps", 2)), ("inv", "dual", ("--tol", 0.1)),
+    ("ref", "dual", ("--steps", -3)), ("ref", "tight", ("--Bhat", "nan"))])
+def test_direct_method_rejects_iteration_options(tmp_path, capsys, method, target, option):
+    # an option the method would ignore is an input error, not a silent no-op
+    code = run_cli("canonical", "--method", method, "--target", target, *option,
+                   "--out", tmp_path / "x")
+    assert code == 1
+    assert f"takes no {option[0]}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_direct_method_takes_iteration_options_at_their_defaults(tmp_path):
+    assert run_cli("canonical", "--method", "svd", "--scaling", "norm", "--steps", 40,
+                   "--out", tmp_path / "x") == 0
+    config = json.loads((tmp_path / "x.report.json").read_text())["config"]
+    assert (config["scaling"], config["Bhat"], config["steps"], config["tol"]) == (
+        "norm", None, 40, None)
+
+
+def test_help_exits_zero(capsys):
+    assert run_cli("experiment", "precision", "--help") == 0
+    assert "--L" in capsys.readouterr().out
 
 
 def test_wrong_method_target_pairing(tmp_path):
@@ -346,6 +373,8 @@ def test_experiment_sidecar(tmp_path):
     assert code == 0
     sidecar = json.loads((tmp_path / "lab.csv.json").read_text())
     assert sidecar["command"]["name"] == "scalar-lab"
+    # the options the experiment read, and no other
+    assert set(sidecar["command"]) == {"command", "name", "eps", "out", "json"}
     env = sidecar["environment"]
     assert "numpy" in env
     # the keys of the benchmark's environment record
@@ -357,6 +386,41 @@ def test_experiment_sidecar(tmp_path):
 
 def test_experiment_unknown_name(tmp_path):
     assert run_cli("experiment", "nonsense", "--out", tmp_path / "x.csv") == 1
+
+
+_DEFAULTS = {"L": 432, "a": 18, "b": 18, "window": "gauss:1", "target": "dual",
+             "steps": 12, "sigma": 6.0, "ratio": 3.0, "eps": 1e-3}
+
+
+@pytest.mark.parametrize("name,options", [
+    ("convergence", "L a b window steps"), ("scaling-compare", "L a b window steps"),
+    ("monster", "L a b sigma steps"), ("precision", "L a b"),
+    ("iterations-vs-ratio", "L a b"), ("scaling-sweep", "L a b window target"),
+    ("fibonacci", "ratio"), ("scalar-lab", "eps")])
+def test_experiment_takes_exactly_the_options_it_reads(name, options):
+    # the README table: each experiment parses its own options, at these defaults
+    args = gw.cli.build_parser().parse_args(["experiment", name, "--out", "x.csv"])
+    read = {k: v for k, v in vars(args).items()
+            if k not in ("command", "name", "out", "json", "func")}
+    assert read == {k: _DEFAULTS[k] for k in options.split()}
+
+
+@pytest.mark.parametrize("argv", [("precision", "--steps", 3), ("fibonacci", "--L", 600),
+                                  ("monster", "--window", "monster:7"),
+                                  ("scalar-lab", "--target", "tight")])
+def test_experiment_rejects_an_option_it_does_not_read(tmp_path, capsys, argv):
+    code = run_cli("experiment", *argv, "--out", tmp_path / "x.csv")
+    assert code == 1
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", ["convergence", "scaling-compare", "scaling-sweep"])
+def test_experiment_not_a_frame_exit_code(tmp_path, name):
+    # the spike of a tiny Gaussian width, as in canonical: exit 2, no CSV
+    out = tmp_path / "spike.csv"
+    assert run_cli("experiment", name, "--window", "gauss:1e-300", "--out", out) == 2
+    assert not out.exists()
 
 
 def test_experiment_monster(tmp_path):
