@@ -1,18 +1,22 @@
 """Direct (non-iterative) canonical-window methods on the block
 factorization: EIG, SVD and INV.  At p = 2 SVD's polar factor of a block
 Phi = B E (Gram-Schmidt) is [[s, -conj t], [t, s]] E / hypot(s, |t|), built
-from sums of positive terms so that nothing cancels (see svd_tight)."""
+from sums of positive terms so that nothing cancels (see svd_tight).  At
+p <= 2 the row norms are q - 1 whole-plane hypot calls, and the divisions
+by reals of the p = 1 paths, of svd_tight's final scale and of the Cholesky
+substitutions go through zak._over.  EIG and INV read the Gram that the
+factorization holds (zak.block_gram), so frame bounds and both methods of
+one factorization build it once."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import NotAFrameError
-from .zak import ZakFactorization, _hermitian_eigvals, _over, block_gram, hermitian_part
+from .zak import (_RANK_TOL, ZakFactorization, _hermitian_eigvals, _over, block_gram,
+                  hermitian_part)
 
 __all__ = ["eig_tight", "svd_tight", "inv_dual", "cholesky_solve_blocks"]
-
-_RANK_TOL = 1e-13
 
 
 def eig_tight(fac: ZakFactorization) -> ZakFactorization:
@@ -26,7 +30,7 @@ def eig_tight(fac: ZakFactorization) -> ZakFactorization:
     if fac.lattice.p == 1:  # U = 1 and the block is its own eigenvalue
         ev = _hermitian_eigvals(A)
         _check_eigenvalues(ev)
-        return ZakFactorization(fac.lattice, fac.blocks / np.sqrt(ev)[..., None])
+        return ZakFactorization(fac.lattice, _over(fac.blocks, np.sqrt(ev)[..., None]))
     ev, U = np.linalg.eigh(hermitian_part(A))
     _check_eigenvalues(ev)
     out = np.einsum("rsij,rsj,rskj,rskl->rsil", U, ev ** -0.5, U.conj(), fac.blocks)
@@ -58,35 +62,45 @@ def svd_tight(fac: ZakFactorization) -> ZakFactorization:
     lt = fac.lattice
     if lt.p == 1:
         x = _unit_scaled(fac.blocks)
-        s = np.hypot.reduce(np.abs(x), axis=-1, keepdims=True)
+        s = _row_norms(x)
         _check_singular_values(s)
-        polar = np.divide(x, s, out=x)
+        polar = _over(x, s, out=x)
     elif lt.p == 2:
         polar = _polar_2xq(fac.blocks)
     else:
         U, s, Vh = np.linalg.svd(fac.blocks, full_matrices=False)
         _check_singular_values(s)
         polar = np.einsum("rsij,rsjl->rsil", U, Vh)
-    return ZakFactorization(lt, np.divide(polar, np.sqrt(lt.c * lt.d * lt.q), out=polar))
+    return ZakFactorization(lt, _over(polar, np.sqrt(lt.c * lt.d * lt.q), out=polar))
 
 
 def _polar_2xq(blocks: np.ndarray) -> np.ndarray:
     """Polar factor of (..., 2, q) blocks in closed form (see svd_tight)."""
     x = _unit_scaled(blocks)
     phi1, phi2 = x[..., 0, :], x[..., 1, :]
-    r11 = np.hypot.reduce(np.abs(phi1), axis=-1, keepdims=True)
+    r11 = _row_norms(phi1)
     _check_singular_values(r11)  # the test below implies it: sigma2 <= r11 <= sigma1
     e1 = phi1 / r11
     t = np.einsum("...i,...i->...", phi2, e1.conj())[..., None]
     y = phi2 - t * e1
     dt = np.einsum("...i,...i->...", y, e1.conj())[..., None]
     y, t = y - dt * e1, t + dt
-    r22, at = np.hypot.reduce(np.abs(y), axis=-1, keepdims=True), np.abs(t)
+    r22, at = _row_norms(y), np.abs(t)
     h = np.hypot(r11 + r22, at)
     sigma1 = 0.5 * (h + np.hypot(r11 - r22, at))
     _check_singular_values(np.concatenate([sigma1, r11 * (r22 / sigma1)]))
     e2, s, t = y / r22, (r11 + r22) / h, t / h
     return np.stack([s * e1 - t.conj() * e2, t * e1 + s * e2], axis=-2)
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """2-norms (..., 1) of the rows of (..., q) x by q - 1 whole-plane hypot
+    calls, left to right: the bits of np.hypot.reduce along the row, which
+    costs about 0.1 us a row on a short trailing axis."""
+    s = np.abs(x[..., :1])
+    for l in range(1, x.shape[-1]):
+        np.hypot(s, np.abs(x[..., l:l + 1]), out=s)
+    return s
 
 
 def _unit_scaled(blocks: np.ndarray) -> np.ndarray:

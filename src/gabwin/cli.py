@@ -113,8 +113,12 @@ def save_window(path: str, values: np.ndarray) -> None:
 
 
 def _frame_bounds(fac: ZakFactorization) -> SpectralSummary:
-    """Best frame bounds of the window whose factorization is fac."""
-    return frame_bounds(block_gram(fac, fac))
+    """Best frame bounds of the window whose factorization is fac;
+    NotAFrameError when it is not a frame (SpectralSummary.is_frame)."""
+    summary = frame_bounds(block_gram(fac, fac))
+    if not summary.is_frame:
+        raise NotAFrameError("input system is not a frame")
+    return summary
 
 
 def _steps_to_converge(trace) -> int:
@@ -132,8 +136,6 @@ def cmd_canonical(args: argparse.Namespace) -> int:
     g = make_window(args.window, lattice).astype(complex)
     fac = factorize(g, lattice)
     summary = _frame_bounds(fac)
-    if not summary.is_frame:
-        raise NotAFrameError("input system is not a frame")
 
     report: dict = {
         "config": {k: v for k, v in vars(args).items() if k != "func"},
@@ -281,10 +283,9 @@ def exp_precision(args):
 
 def exp_iterations_vs_ratio(args):
     lattice, stack, facs = _sweep_windows(args)
-    grams = [block_gram(fac, fac) for fac in facs]
-    Bhat = np.array([upper_frame_bound_estimate(S) for S in grams])
+    rows = [[w, _frame_bounds(fac).ratio] for w, fac in zip(_W_SWEEP, facs)]
+    Bhat = np.array([upper_frame_bound_estimate(block_gram(fac, fac)) for fac in facs])
     prescaled = stack / np.sqrt(Bhat)[:, None, None, None, None]
-    rows = [[w, frame_bounds(S).ratio] for w, S in zip(_W_SWEEP, grams)]
     for name in _ALGOS:
         initial = name != "I"
         config = IterationConfig.from_algorithm(
@@ -313,10 +314,7 @@ def exp_scaling_sweep(args):
     lattice = derive_lattice(args.L, args.a, args.b)
     g = make_window(args.window, lattice).astype(complex)
     fac = factorize(g, lattice)
-    bounds = _frame_bounds(fac)
-    if not bounds.is_frame:
-        raise NotAFrameError("input system is not a frame")
-    B_best = bounds.upper
+    B_best = _frame_bounds(fac).upper
     upper = 5.3 if args.target == "tight" else 2.9
     grid = np.round(np.arange(0.1, upper + 1e-9, 0.2), 10)
     # g prescaled to upper bound b, under the raw polynomial
@@ -348,7 +346,8 @@ def tune_width_to_ratio(lattice: GaborLattice, target_ratio: float,
     h(hi) < 0, or h(hi) ends not finite."""
     def h(w):
         g = gaussian_window(lattice.L, w).astype(complex)
-        return math.log(_frame_bounds(factorize(g, lattice)).ratio) - log_target
+        fac = factorize(g, lattice)
+        return math.log(frame_bounds(block_gram(fac, fac)).ratio) - log_target
 
     missed = ValueError(f"frame bound ratio {target_ratio} is not reached by "
                         f"Gaussian widths in [{lo}, {hi}]")

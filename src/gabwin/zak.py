@@ -24,13 +24,16 @@ keeps it at p = 2, each plane X[..., k, l] is contiguous; the values do not
 depend on the layout.  At p >= 3 einsum computes them, because the p^2 q
 ufunc calls would cost more at small c d, and because numpy's complex
 multiply fuses its products (FMA) where einsum's loop does not, so einsum
-keeps every p >= 3 output bit for bit.
+keeps every p >= 3 output bit for bit.  A factorization holds its Gram
+A^{g,g}: block_gram(G, G) computes it on first read and returns the same
+operator after, so frame bounds and the direct methods of one
+factorization share one Gram.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,6 +51,9 @@ __all__ = [
     "apply_block_operator",
     "frame_bounds",
 ]
+
+# a lower bound at or below this share of the upper one is no frame
+_RANK_TOL = 1e-13
 
 
 def dzt(h: np.ndarray, K: int) -> np.ndarray:
@@ -89,7 +95,8 @@ class ZakFactorization:
     """c x d grid of p x q blocks sampled from the Zak transform.
 
     ``blocks`` has shape (c, d, p, q); the map signal -> blocks is unitary.
-    Immutable: the array is marked read-only after construction.
+    Immutable: the array is marked read-only after construction, so the
+    Gram computed from it on first read (``_gram``) stays valid and is held.
     """
 
     lattice: GaborLattice
@@ -103,6 +110,10 @@ class ZakFactorization:
                 f"({lt.c}, {lt.d}, {lt.p}, {lt.q})"
             )
         self.blocks.flags.writeable = False
+
+    @cached_property
+    def _gram(self) -> BlockOperator:
+        return BlockOperator(self.lattice, _gram_blocks(self.blocks, self.blocks))
 
 
 @dataclass(frozen=True)
@@ -135,12 +146,14 @@ class SpectralSummary:
 
     @property
     def ratio(self) -> float:
-        """upper / lower, or inf when lower <= 0 (not a frame)."""
-        return self.upper / self.lower if self.lower > 0.0 else np.inf
+        """upper / lower, or inf when not is_frame."""
+        return self.upper / self.lower if self.is_frame else np.inf
 
     @property
     def is_frame(self) -> bool:
-        return self.lower > 0.0
+        """Whether lower > _RANK_TOL upper: the rule by which eig_tight and
+        inv_dual reject a numerically singular frame operator."""
+        return self.lower > _RANK_TOL * self.upper
 
 
 @lru_cache(maxsize=16)
@@ -192,7 +205,7 @@ def unfactorize(fac: ZakFactorization) -> np.ndarray:
     np.multiply(tw, grid, out=grid)
     x = grid.reshape(lt.a, J)
     np.fft.fft(x, axis=1, out=x)
-    np.divide(x, np.sqrt(lt.a / lt.L) * J, out=x)
+    _over(x, np.sqrt(lt.a / lt.L) * J, out=x)
     # undo the dzt gather: column l of x is row -l mod J of f viewed as (J, a)
     f = np.empty((J, lt.a), dtype=complex)
     f[0] = x[:, 0]
@@ -253,10 +266,13 @@ def block_gram(fac_f: ZakFactorization, fac_h: ZakFactorization) -> BlockOperato
     """Blockwise Gram products representing the frame-type operator S_{h,f}.
 
     block_gram(G, G) represents the frame operator of g:
-    apply_block_operator(block_gram(G, G), F) == factorize(S f).
+    apply_block_operator(block_gram(G, G), F) == factorize(S f).  It is
+    computed once per factorization G and held (see ZakFactorization).
     """
     if fac_f.lattice != fac_h.lattice:
         raise ValueError("lattice mismatch")
+    if fac_f is fac_h:
+        return fac_f._gram
     return BlockOperator(fac_f.lattice, _gram_blocks(fac_f.blocks, fac_h.blocks))
 
 
@@ -271,9 +287,12 @@ def _over(X: np.ndarray, s, out=None) -> np.ndarray:
     """X / s for real s, into out if given, else into a new array in the
     layout of X (an s that broadcasts, one value a member of a stack,
     would make numpy write it in C order).  numpy divides complex by real
-    as a product with 1 / s, so complex X takes that product: the
-    quotient's bits at a fraction of its cost.  Real X is divided, since
-    x (1 / s) can differ from x / s by an ulp."""
+    as (re + im 0) (1 / s), (im - re 0) (1 / s), so complex X takes the
+    product with 1 / s: the quotient's value at a fraction of its cost, and
+    its bits wherever a part is finite and nonzero.  The sign of an exact
+    zero part can differ: complex(-0.0, 1) / 3 has real part +0.0, while
+    the product keeps -0.0.  Real X is divided, since x (1 / s) can differ
+    from x / s by an ulp."""
     if out is None and isinstance(s, np.ndarray):
         out = np.empty_like(X, dtype=np.result_type(X, s))
     if np.iscomplexobj(X):

@@ -216,6 +216,29 @@ def mpmath_polar_factor(block, dps=50):
         return np.array((root * phi).tolist(), dtype=complex)
 
 
+
+def reduce_polar_2xq(blocks):
+    """Closed-form polar factor of full-rank (..., 2, q) blocks as
+    canonical._polar_2xq computed it with each row norm one np.hypot.reduce
+    along the row, without its rank tests."""
+    x = np.ascontiguousarray(blocks).view(float)
+    x = np.ldexp(x, -np.frexp(max(x.max(), -x.min()))[1]).view(complex)
+
+    def norm(v):
+        return np.hypot.reduce(np.abs(v), axis=-1, keepdims=True)
+
+    phi1, phi2 = x[..., 0, :], x[..., 1, :]
+    r11 = norm(phi1)
+    e1 = phi1 / r11
+    t = np.einsum("...i,...i->...", phi2, e1.conj())[..., None]
+    y = phi2 - t * e1
+    dt = np.einsum("...i,...i->...", y, e1.conj())[..., None]
+    y, t = y - dt * e1, t + dt
+    r22, at = norm(y), np.abs(t)
+    h = np.hypot(r11 + r22, at)
+    e2, s, t = y / r22, (r11 + r22) / h, t / h
+    return np.stack([s * e1 - t.conj() * e2, t * e1 + s * e2], axis=-2)
+
 # The scalar singular-value recursion with its own step rules of I-V and
 # the four scalings, written on sigma vectors directly (scalar_iteration
 # runs the block iteration loop on 1 x 1 blocks instead).

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 import gabwin as gw
 from gabwin.canonical import _polar_2xq, cholesky_solve_blocks
 from gabwin.errors import NotAFrameError
-from oracles import mpmath_polar_factor
+from gabwin import zak
+from oracles import mpmath_polar_factor, reduce_polar_2xq
 
 EPS = np.finfo(float).eps
 
@@ -157,6 +158,33 @@ def test_svd_tight_scale_covariance_p2(alpha):
     base = gw.svd_tight(gw.factorize(g, lt)).blocks
     scaled = gw.svd_tight(gw.factorize(alpha * g, lt)).blocks
     assert np.linalg.norm(scaled - base) <= 2e-15 * np.linalg.norm(base)
+
+
+def test_svd_tight_p2_row_norms_give_the_bits_of_hypot_reduce():
+    for L, a, b in ((600, 20, 20), (8640, 72, 80)):
+        lt = gw.derive_lattice(L, a, b)
+        assert lt.p == 2
+        for make in (gw.gaussian_window, gw.sech_window):
+            fac = gw.factorize(make(L).astype(complex), lt)
+            assert np.array_equal(_polar_2xq(fac.blocks), reduce_polar_2xq(fac.blocks))
+
+
+def test_frame_bounds_and_direct_methods_share_one_gram(monkeypatch):
+    calls, gram_blocks = [], zak._gram_blocks
+
+    def counted(X, Y):
+        calls.append(X.shape)
+        return gram_blocks(X, Y)
+
+    monkeypatch.setattr(zak, "_gram_blocks", counted)
+    for L, a, b in ((240, 12, 10), (600, 20, 20), (432, 18, 18)):
+        lt = gw.derive_lattice(L, a, b)
+        fac = gw.factorize(gw.gaussian_window(L).astype(complex), lt)
+        calls.clear()
+        gw.frame_bounds(gw.block_gram(fac, fac))
+        gw.eig_tight(fac)
+        gw.inv_dual(fac)
+        assert calls == [fac.blocks.shape], lt
 
 
 def _block_with_condition(rng, q, kappa):

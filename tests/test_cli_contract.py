@@ -5,16 +5,19 @@ sometimes, one option it does not declare, with values from fixed pools:
 valid values, boundaries, and absurd values.  Whatever it is given, ``main``
 returns a documented exit code, lets no exception or RuntimeWarning escape
 (pytest turns warnings into errors), and writes the CSV, and the ``--json``
-sidecar when asked, exactly when it exits 0.
+sidecar when asked, exactly when it exits 0.  Over the pools' lattices and
+windows, every experiment that reads a window exits 2 ("not a frame")
+wherever ``canonical --method svd`` exits 2 on it: one rule decides.
 """
 
+import itertools
 import tempfile
 from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gabwin.cli import _EXPERIMENTS, main
+from gabwin.cli import _EXPERIMENTS, _W_SWEEP, main
 
 # every option draws these too; as an int, all but 0 and -1 fail to parse
 _ABSURD = ("0", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "abc")
@@ -81,3 +84,39 @@ def test_experiment_exit_codes_over_the_declared_grammar(command):
 for _command in _single_options():
     test_experiment_exit_codes_over_the_declared_grammar = example(command=_command)(
         test_experiment_exit_codes_over_the_declared_grammar)
+
+
+def _window_options(name, window):
+    """The options under which experiment ``name`` reads the window of
+    canonical's ``--window window``, or None when it does not read it: its
+    own --window, monster's --sigma, or, for the experiments of declared
+    lattice but no window, the Gaussians of widths cli._W_SWEEP."""
+    kind, _, value = window.partition(":")
+    declared = _EXPERIMENTS[name][1]
+    if "--window" in declared:
+        return ["--window", window]
+    if "--sigma" in declared:
+        return ["--sigma", value] if kind == "monster" else None
+    if "--L" in declared and kind == "gauss" and float(value) in _W_SWEEP:
+        return []
+    return None
+
+
+def test_experiments_exit_2_wherever_canonical_svd_does():
+    rejected = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for L, a, b, window in itertools.product(
+                _POOLS["--L"], _POOLS["--a"], _POOLS["--b"], _POOLS["--window"]):
+            system = ["--L", L, "--a", a, "--b", b]
+            if main(["canonical", "--method", "svd", *system, "--window", window,
+                     "--out", f"{tmp}/w"]) != 2:
+                continue
+            rejected.append((L, a, b, window))
+            for name in _EXPERIMENTS:
+                options = _window_options(name, window)
+                if options is not None:
+                    argv = ["experiment", name, *system, *options, "--out", f"{tmp}/x.csv"]
+                    assert main(argv) == 2, argv
+    # the critical lattice a b = L, where a Gaussian's lower frame bound is
+    # positive roundoff: the example that two rules of "not a frame" split
+    assert ("432", "24", "18", "gauss:1") in rejected

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import gabwin as gw
-from gabwin.zak import _block_product, _gram_blocks, _plan
+from gabwin.errors import NotAFrameError
+from gabwin.zak import _RANK_TOL, _block_product, _gram_blocks, _over, _plan
 
 from oracles import (dzt_direct, dzt_indexed, einsum_block_product, einsum_gram,
                      factorize_indexed, literal_frame_operator,
@@ -209,6 +210,55 @@ def test_frame_bounds_ratio_is_inf_when_lower_is_not_positive(lat432):
     assert s.lower == 0.0 and s.upper == pytest.approx(24.0)
     assert s.ratio == np.inf and not s.is_frame
     assert gw.SpectralSummary(lower=-1e-16, upper=1.0).ratio == np.inf
+
+
+def test_is_frame_is_the_relative_rank_rule():
+    assert not gw.SpectralSummary(lower=_RANK_TOL, upper=1.0).is_frame
+    assert gw.SpectralSummary(lower=2 * _RANK_TOL, upper=1.0).is_frame
+    assert gw.SpectralSummary(lower=1e-14, upper=1.0).ratio == np.inf
+    # the critical lattice a b = L: a Gaussian's lower bound is positive
+    # roundoff, B/A about 1e30, and every direct method rejects it
+    lt = gw.derive_lattice(432, 24, 18)
+    fac = gw.factorize(gw.gaussian_window(432).astype(complex), lt)
+    s = gw.frame_bounds(gw.block_gram(fac, fac))
+    assert s.lower > 0.0 and not s.is_frame and s.ratio == np.inf
+    for method in (gw.eig_tight, gw.svd_tight, gw.inv_dual):
+        with pytest.raises(NotAFrameError):
+            method(fac)
+
+
+def test_block_gram_is_held_per_factorization(lat432, gauss432):
+    fac = gw.factorize(gauss432, lat432)
+    A = gw.block_gram(fac, fac)
+    assert gw.block_gram(fac, fac) is A
+    other = gw.ZakFactorization(lat432, fac.blocks.copy())
+    assert gw.block_gram(fac, other) is not A
+    assert np.array_equal(gw.block_gram(fac, other).blocks, A.blocks)
+
+
+@pytest.mark.parametrize("shape,s_shape", [((6, 5, 2, 3), ()), ((6, 5, 1, 2), (6, 5, 1, 1)),
+                                           ((4, 6, 5, 2, 2), (4, 1, 1, 1, 1))])
+def test_over_is_numpys_complex_by_real_quotient(shape, s_shape, rng):
+    # numpy divides complex by real as a product with 1 / s: the same value,
+    # the same bits on every finite nonzero part; a numpy whose division
+    # loop changes fails here rather than in the golden outputs
+    X = rng.standard_normal(shape + (2,)) * 10.0 ** rng.integers(-150, 150, shape + (2,))
+    X[rng.random(X.shape) < 0.1] = 0.0
+    X[rng.random(X.shape) < 0.1] = -0.0
+    X = X.view(complex)[..., 0]
+    s = rng.uniform(0.5, 2.0, s_shape) * 10.0 ** rng.integers(-150, 150, s_shape)
+    s = np.where(rng.random(s_shape) < 0.5, -s, s)
+    quotient, product = X / s, _over(X, s)
+    assert np.array_equal(product, quotient)
+    got, want = product.view(float), quotient.view(float)
+    nonzero = np.isfinite(want) & (want != 0)
+    assert nonzero.mean() > 0.7
+    assert np.array_equal(got[nonzero].view(np.uint64), want[nonzero].view(np.uint64))
+    out = np.empty_like(X)
+    assert _over(X, s, out=out) is out and np.array_equal(out, quotient)
+    # the sign of an exact zero part can differ, as the docstring says
+    z = np.array([complex(-0.0, 1.0)])
+    assert not np.signbit((z / 3.0).real[0]) and np.signbit(_over(z, 3.0).real[0])
 
 
 def test_blocks_immutable(lat432, gauss432):
