@@ -2,19 +2,17 @@
 factorization: EIG, SVD and INV.  At p = 2 SVD's polar factor of a block
 Phi = B E (Gram-Schmidt) is [[s, -conj t], [t, s]] E / hypot(s, |t|), built
 from sums of positive terms so that nothing cancels (see svd_tight).  At
-p <= 2 the row norms are q - 1 whole-plane hypot calls, and the divisions
-by reals of the p = 1 paths, of svd_tight's final scale and of the Cholesky
-substitutions go through zak._over.  EIG and INV read the Gram that the
-factorization holds (zak.block_gram), so frame bounds and both methods of
-one factorization build it once."""
+p <= 2 the row norms are q - 1 whole-plane hypot calls, and every division
+by reals goes through zak._over.  EIG and INV read the Gram, and its
+eigenvalues, that the factorization holds (zak.block_gram), and every
+method rejects a system by zak's one rank rule (zak._require_frame)."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import NotAFrameError
-from .zak import (_RANK_TOL, ZakFactorization, _hermitian_eigvals, _over, block_gram,
-                  hermitian_part)
+from .zak import ZakFactorization, _over, _require_frame, block_gram, hermitian_part
 
 __all__ = ["eig_tight", "svd_tight", "inv_dual", "cholesky_solve_blocks"]
 
@@ -26,20 +24,14 @@ def eig_tight(fac: ZakFactorization) -> ZakFactorization:
     applied: tight = U D^(-1/2) U* Phi.  Inverting small eigenvalues makes
     this method lose accuracy as B/A grows.
     """
-    A = block_gram(fac, fac).blocks
+    A = block_gram(fac, fac)
     if fac.lattice.p == 1:  # U = 1 and the block is its own eigenvalue
-        ev = _hermitian_eigvals(A)
-        _check_eigenvalues(ev)
-        return ZakFactorization(fac.lattice, _over(fac.blocks, np.sqrt(ev)[..., None]))
-    ev, U = np.linalg.eigh(hermitian_part(A))
-    _check_eigenvalues(ev)
+        _require_frame(A._eigvals)
+        return ZakFactorization(fac.lattice, _over(fac.blocks, np.sqrt(A._eigvals)[..., None]))
+    ev, U = np.linalg.eigh(hermitian_part(A.blocks))
+    _require_frame(ev)
     out = np.einsum("rsij,rsj,rskj,rskl->rsil", U, ev ** -0.5, U.conj(), fac.blocks)
     return ZakFactorization(fac.lattice, out)
-
-
-def _check_eigenvalues(ev: np.ndarray) -> None:
-    if ev.min() <= _RANK_TOL * ev.max():
-        raise NotAFrameError("not a frame: frame operator numerically singular")
 
 
 def svd_tight(fac: ZakFactorization) -> ZakFactorization:
@@ -55,21 +47,23 @@ def svd_tight(fac: ZakFactorization) -> ZakFactorization:
     When p = 2 Gram-Schmidt on the rows (re-orthogonalized once) gives
     Phi = B E, E with orthonormal rows, B = [[r11, 0], [t, r22]]; as det B > 0,
     U Vh = [[s, -conj t], [t, s]] E / hypot(s, |t|) with s = r11 + r22 (Higham,
-    Functions of Matrices, ch. 8).  The rank test takes sigma1 = (hypot(s, |t|)
-    + hypot(r11 - r22, |t|)) / 2 and sigma2 = r11 (r22 / sigma1).  No step
-    subtracts nearly equal numbers.  For p > 2 LAPACK computes the SVD.
+    Functions of Matrices, ch. 8).  The rank test (zak's, on the squared
+    singular values at every p) takes sigma1 = (hypot(s, |t|) + hypot(r11 -
+    r22, |t|)) / 2 and sigma2 = r11 (r22 / sigma1).  No step subtracts nearly
+    equal numbers.  For p > 2 LAPACK computes the SVD.
     """
     lt = fac.lattice
     if lt.p == 1:
         x = _unit_scaled(fac.blocks)
         s = _row_norms(x)
-        _check_singular_values(s)
+        _require_frame(s * s)
         polar = _over(x, s, out=x)
     elif lt.p == 2:
         polar = _polar_2xq(fac.blocks)
     else:
         U, s, Vh = np.linalg.svd(fac.blocks, full_matrices=False)
-        _check_singular_values(s)
+        s = np.ldexp(s, -np.frexp(s.max())[1])  # exact, and its square cannot overflow
+        _require_frame(s * s)
         polar = np.einsum("rsij,rsjl->rsil", U, Vh)
     return ZakFactorization(lt, _over(polar, np.sqrt(lt.c * lt.d * lt.q), out=polar))
 
@@ -79,8 +73,8 @@ def _polar_2xq(blocks: np.ndarray) -> np.ndarray:
     x = _unit_scaled(blocks)
     phi1, phi2 = x[..., 0, :], x[..., 1, :]
     r11 = _row_norms(phi1)
-    _check_singular_values(r11)  # the test below implies it: sigma2 <= r11 <= sigma1
-    e1 = phi1 / r11
+    _require_frame(r11 * r11)  # the test below implies it: sigma2 <= r11 <= sigma1
+    e1 = _over(phi1, r11)
     t = np.einsum("...i,...i->...", phi2, e1.conj())[..., None]
     y = phi2 - t * e1
     dt = np.einsum("...i,...i->...", y, e1.conj())[..., None]
@@ -88,8 +82,8 @@ def _polar_2xq(blocks: np.ndarray) -> np.ndarray:
     r22, at = _row_norms(y), np.abs(t)
     h = np.hypot(r11 + r22, at)
     sigma1 = 0.5 * (h + np.hypot(r11 - r22, at))
-    _check_singular_values(np.concatenate([sigma1, r11 * (r22 / sigma1)]))
-    e2, s, t = y / r22, (r11 + r22) / h, t / h
+    _require_frame(np.concatenate([sigma1, r11 * (r22 / sigma1)]) ** 2)
+    e2, s, t = _over(y, r22), (r11 + r22) / h, _over(t, h)
     return np.stack([s * e1 - t.conj() * e2, t * e1 + s * e2], axis=-2)
 
 
@@ -108,11 +102,6 @@ def _unit_scaled(blocks: np.ndarray) -> np.ndarray:
     [1/2, 1): exact, and clear of subnormals where the rank test passes."""
     x = np.ascontiguousarray(blocks).view(float)
     return np.ldexp(x, -np.frexp(max(x.max(), -x.min()))[1]).view(complex)
-
-
-def _check_singular_values(s: np.ndarray) -> None:
-    if s.min() <= _RANK_TOL * s.max():
-        raise NotAFrameError("not a frame: rank-deficient factorization block")
 
 
 def cholesky_solve_blocks(op_blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -159,5 +148,5 @@ def cholesky_solve_blocks(op_blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def inv_dual(fac: ZakFactorization) -> ZakFactorization:
     """Canonical dual window: per-block Hermitian solve A X = Phi."""
     A = block_gram(fac, fac)
-    _check_eigenvalues(_hermitian_eigvals(A.blocks))
+    _require_frame(A._eigvals)
     return ZakFactorization(fac.lattice, cholesky_solve_blocks(A.blocks, fac.blocks))

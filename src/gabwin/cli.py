@@ -34,8 +34,8 @@ from .iterations import (
 from .lattice import GaborLattice, derive_lattice
 from .scalarlab import two_point_norm_scaled
 from .windows import gaussian_window, monster_window, sech_window
-from .zak import (SpectralSummary, ZakFactorization, block_gram, factorize, frame_bounds,
-                  unfactorize)
+from .zak import (SpectralSummary, ZakFactorization, _require_frame, block_gram, factorize,
+                  frame_bounds, unfactorize)
 
 EXIT_NOT_A_FRAME = 2
 EXIT_DIVERGED = 3
@@ -115,10 +115,7 @@ def save_window(path: str, values: np.ndarray) -> None:
 def _frame_bounds(fac: ZakFactorization) -> SpectralSummary:
     """Best frame bounds of the window whose factorization is fac;
     NotAFrameError when it is not a frame (SpectralSummary.is_frame)."""
-    summary = frame_bounds(block_gram(fac, fac))
-    if not summary.is_frame:
-        raise NotAFrameError("input system is not a frame")
-    return summary
+    return _require_frame(block_gram(fac, fac)._eigvals)
 
 
 def _steps_to_converge(trace) -> int:
@@ -156,7 +153,10 @@ def cmd_canonical(args: argparse.Namespace) -> int:
                 f"algorithm {name} computes the {config.target} window, "
                 f"not {args.target}")
         trace = run(g, lattice, config)
-        out, gamma = trace.blocks[-1], trace.final
+        out = trace.blocks[-1]
+        if trace.converged:  # a limit is a multiple of the canonical window
+            out = out / diagnostics._canonical_scale(fac.blocks, out, lattice, args.target)
+        gamma = unfactorize(ZakFactorization(lattice, out))
         wrong = trace.converged and trace.wrong_limit
         code = EXIT_WRONG_LIMIT if wrong else _EXIT_CODES[trace.stop_reason]
         report["iteration"] = {

@@ -79,7 +79,8 @@ def _fibers(g: np.ndarray, lattice: GaborLattice) -> np.ndarray:
 
 def _fiber_svd(g: np.ndarray, lattice: GaborLattice):
     U, s, Vh = np.linalg.svd(_fibers(g, lattice), full_matrices=False)
-    if s.min() <= _RANK_TOL * s.max():  # <=: a zero window is no frame
+    unit = np.ldexp(s, -np.frexp(s.max())[1])  # exact: its squares cannot overflow
+    if unit.min() ** 2 <= _RANK_TOL * unit.max() ** 2:  # zak's rule; a zero window is no frame
         raise NotAFrameError("numerically not a frame")
     return U, s, Vh
 

@@ -75,18 +75,32 @@ def _unit_correlations(X: np.ndarray, Y: np.ndarray, lattice: GaborLattice,
 def _report(g_blocks: np.ndarray, gamma_blocks: np.ndarray, lattice: GaborLattice,
             target: str) -> tuple[SpectralSummary, float, float]:
     """Frame bounds of A^{gamma,gamma}, the dual lattice norm of unit-norm
-    gamma (tight) or g, gamma (dual), and the Wexler-Raz residual at the
-    canonical scale, where the diagonal is 1: gamma with itself times the
-    density (tight), g with gamma over conj(c[0, 0]) (dual)."""
+    gamma (tight) or g, gamma (dual), and the Wexler-Raz residual, the
+    largest deviation of the correlations from the diagonal 1: of unit-norm
+    gamma with itself times the density (tight, blind to the scale of gamma,
+    which the frame bounds show), of g with gamma as they are (dual, 1 only
+    at the canonical dual's scale)."""
     A = _gram_blocks(gamma_blocks, gamma_blocks)
     if target == "tight":
         corr = _unit_correlations(gamma_blocks, gamma_blocks, lattice, A)
+        dln = _off_origin_mass(corr)
+        corr = corr * lattice.density
     else:
-        corr = _unit_correlations(g_blocks, gamma_blocks, lattice)
-    dln = _off_origin_mass(corr)
-    corr = corr * lattice.density if target == "tight" else corr / corr[0, 0].conj()
+        corr = _gram_correlations(_gram_blocks(g_blocks, gamma_blocks), lattice)
+        dln = _off_origin_mass(corr / (np.linalg.norm(g_blocks) * np.linalg.norm(gamma_blocks)))
     corr[0, 0] -= 1.0
     return frame_bounds(BlockOperator(lattice, A)), dln, float(np.abs(corr).max())
+
+
+def _canonical_scale(g_blocks: np.ndarray, gamma_blocks: np.ndarray, lattice: GaborLattice,
+                     target: str):
+    """The factor t of a limit gamma = t h of the canonical window h, by
+    Wexler-Raz: the canonical tight window has squared norm ab/L, and the
+    canonical dual h of the input g as given (not prescaled) has
+    <h, g> = ab/L (as A^{g,h} = I), with <u, v> = sum u conj(v)."""
+    if target == "tight":
+        return np.linalg.norm(gamma_blocks) / np.sqrt(lattice.density)
+    return np.vdot(g_blocks, gamma_blocks) / lattice.density
 
 
 def adjoint_correlations(f: np.ndarray, h: np.ndarray, lattice: GaborLattice) -> np.ndarray:

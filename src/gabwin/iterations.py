@@ -46,7 +46,7 @@ from .canonical import cholesky_solve_blocks, inv_dual, svd_tight
 from .errors import NotAFrameError
 from .lattice import GaborLattice
 from .zak import (BlockOperator, ZakFactorization, _block_product, _gram_blocks,
-                  _hermitian_eigvals, _over, factorize, unfactorize)
+                  _hermitian_eigvals, _over, _require_frame, factorize, unfactorize)
 
 __all__ = [
     "EPS",
@@ -418,9 +418,7 @@ def _start_constant(g: np.ndarray, lattice: GaborLattice, config: IterationConfi
     S = _gram_blocks(g, g)
     if config.scaling == "initial":
         return upper_frame_bound_estimate(BlockOperator(lattice, S))
-    bounds = diagnostics._spectrum(S, "tight")
-    if not bounds.is_frame:
-        raise NotAFrameError("not a frame: cannot compute optimal scaling")
+    bounds = _require_frame(_hermitian_eigvals(S))
     return optimal_scaling_constant(bounds.lower, bounds.upper, config.algorithm_name)
 
 

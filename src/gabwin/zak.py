@@ -27,8 +27,8 @@ multiply fuses its products (FMA) where einsum's loop does not, so einsum
 keeps every p >= 3 output bit for bit.  A factorization holds its Gram
 A^{g,g}: block_gram(G, G) computes it on first read and returns the same
 operator after, so frame bounds and the direct methods of one
-factorization share one Gram.
-"""
+factorization share one Gram, and its eigenvalues, held by the Gram.  One
+rule says what is numerically a frame: SpectralSummary.is_frame."""
 
 from __future__ import annotations
 
@@ -37,6 +37,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .errors import NotAFrameError
 from .lattice import GaborLattice
 
 __all__ = [
@@ -119,7 +120,8 @@ class ZakFactorization:
 @dataclass(frozen=True)
 class BlockOperator:
     """c x d grid of p x p blocks representing an operator commuting with
-    the lattice shifts (e.g. a frame operator)."""
+    the lattice shifts (e.g. a frame operator); immutable, so it holds the
+    eigenvalues of its blocks' Hermitian parts from their first read."""
 
     lattice: GaborLattice
     blocks: np.ndarray
@@ -129,6 +131,10 @@ class BlockOperator:
         if self.blocks.shape != (lt.c, lt.d, lt.p, lt.p):
             raise ValueError("blocks shape does not match lattice")
         self.blocks.flags.writeable = False
+
+    @cached_property
+    def _eigvals(self) -> np.ndarray:
+        return _hermitian_eigvals(self.blocks)
 
 
 @dataclass(frozen=True)
@@ -151,9 +157,18 @@ class SpectralSummary:
 
     @property
     def is_frame(self) -> bool:
-        """Whether lower > _RANK_TOL upper: the rule by which eig_tight and
-        inv_dual reject a numerically singular frame operator."""
+        """Whether lower > _RANK_TOL upper: the package's one rule of what
+        is numerically a frame (see _require_frame)."""
         return self.lower > _RANK_TOL * self.upper
+
+
+def _require_frame(values: np.ndarray) -> SpectralSummary:
+    """The extremes of values, eigenvalues of Gram blocks or squared singular
+    values of factorization blocks; NotAFrameError unless is_frame."""
+    summary = SpectralSummary(lower=float(values.min()), upper=float(values.max()))
+    if not summary.is_frame:
+        raise NotAFrameError("not a frame: frame operator numerically singular")
+    return summary
 
 
 @lru_cache(maxsize=16)
@@ -283,6 +298,11 @@ def apply_block_operator(op: BlockOperator, fac: ZakFactorization) -> ZakFactori
     return ZakFactorization(fac.lattice, _block_product(op.blocks, fac.blocks))
 
 
+# rows from which a per-row divisor pays as whole planes (see _over): the
+# two forms measured about even at 1024 rows of q = 2 to 4, one BLAS thread
+_PLANE_ROWS = 1024
+
+
 def _over(X: np.ndarray, s, out=None) -> np.ndarray:
     """X / s for real s, into out if given, else into a new array in the
     layout of X (an s that broadcasts, one value a member of a stack,
@@ -292,12 +312,19 @@ def _over(X: np.ndarray, s, out=None) -> np.ndarray:
     its bits wherever a part is finite and nonzero.  The sign of an exact
     zero part can differ: complex(-0.0, 1) / 3 has real part +0.0, while
     the product keeps -0.0.  Real X is divided, since x (1 / s) can differ
-    from x / s by an ulp."""
+    from x / s by an ulp.  One divisor a row, s shaped (..., 1) against
+    (..., q) X, runs as q whole-plane calls when there are _PLANE_ROWS rows
+    or more: a broadcast along a short trailing axis costs more there, and
+    less below, where the q calls cost more than the elements."""
     if out is None and isinstance(s, np.ndarray):
         out = np.empty_like(X, dtype=np.result_type(X, s))
-    if np.iscomplexobj(X):
-        return np.multiply(X, 1 / s, out=out)
-    return np.divide(X, s, out=out)
+    op, s = (np.multiply, 1 / s) if np.iscomplexobj(X) else (np.divide, s)
+    if (isinstance(s, np.ndarray) and s.size >= _PLANE_ROWS
+            and s.shape == X.shape[:-1] + (1,)):
+        for l in range(X.shape[-1]):
+            op(X[..., l], s[..., 0], out=out[..., l])
+        return out
+    return op(X, s, out=out)
 
 
 def hermitian_part(blocks: np.ndarray) -> np.ndarray:
@@ -363,9 +390,8 @@ def frame_bounds(op: BlockOperator) -> SpectralSummary:
 
     The eigenvalues are those of the Hermitian parts of the blocks: in closed
     form at p <= 2 (the block itself at p = 1, m -+ hypot((a - d)/2, |b|) on
-    the block scaled by a power of two at p = 2), from LAPACK at p >= 3.  A
-    nonpositive lower bound is reported through SpectralSummary.is_frame
-    rather than raised.
+    the block scaled by a power of two at p = 2), from LAPACK at p >= 3,
+    solved once per operator and held.  A system that is not numerically a
+    frame is reported through SpectralSummary.is_frame rather than raised.
     """
-    ev = _hermitian_eigvals(op.blocks)
-    return SpectralSummary(lower=float(ev.min()), upper=float(ev.max()))
+    return SpectralSummary(lower=float(op._eigvals.min()), upper=float(op._eigvals.max()))

@@ -325,10 +325,11 @@ def dense_references(g, lattice):
     """Canonical tight and dual windows and the unit-column singular values
     from one thin SVD O = U Sigma V* of the dense L x MN synthesis matrix
     (L <= 2048): U V* e_0, U Sigma^-2 U* g and sigma / sqrt(MN), in
-    descending order.  Raises NotAFrameError when sigma_min <= 1e-13 sigma_max."""
+    descending order.  Raises NotAFrameError when sigma_min^2 <= 1e-13 sigma_max^2,
+    the package's rule on the frame operator's eigenvalues."""
     O = synthesis_matrix(g, lattice).entries
     U, s, Vh = np.linalg.svd(O, full_matrices=False)
-    if s.min() <= 1e-13 * s.max():
+    if s.min() ** 2 <= 1e-13 * s.max() ** 2:
         raise NotAFrameError("numerically not a frame")
     g = np.asarray(g, dtype=complex)
     return (U @ Vh[:, 0], U @ ((U.conj().T @ g) / s**2),

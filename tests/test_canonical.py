@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,6 +190,80 @@ def test_frame_bounds_and_direct_methods_share_one_gram(monkeypatch):
         assert calls == [fac.blocks.shape], lt
 
 
+def test_frame_bounds_and_direct_methods_share_one_spectrum(monkeypatch):
+    # frame_bounds, inv_dual's rank test and eig_tight's at p = 1 read the
+    # eigenvalues the Gram holds; at p >= 2 eig_tight tests those of its own
+    # eigh, so its result does not depend on what was read before it
+    calls = {"hermitian": 0, "eigvalsh": 0}
+    hermitian, eigvalsh = zak._hermitian_eigvals, np.linalg.eigvalsh
+
+    def counted(name, fn):
+        def call(blocks):
+            calls[name] += 1
+            return fn(blocks)
+        return call
+
+    for L, a, b in ((240, 12, 10), (600, 20, 20), (432, 18, 18)):
+        lt = gw.derive_lattice(L, a, b)
+        g = gw.gaussian_window(L).astype(complex)
+        alone = gw.eig_tight(gw.factorize(g, lt)).blocks, gw.inv_dual(gw.factorize(g, lt)).blocks
+        fac = gw.factorize(g, lt)
+        with monkeypatch.context() as m:
+            m.setattr(zak, "_hermitian_eigvals", counted("hermitian", hermitian))
+            m.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
+            calls.update(hermitian=0, eigvalsh=0)
+            gw.frame_bounds(gw.block_gram(fac, fac))
+            after = gw.eig_tight(fac).blocks, gw.inv_dual(fac).blocks
+        assert calls == {"hermitian": 1, "eigvalsh": int(lt.p > 2)}, lt
+        assert all(np.array_equal(x, y) for x, y in zip(alone, after)), lt
+
+
+@pytest.mark.parametrize("dims", [(240, 12, 10), (600, 20, 20), (432, 18, 18)])
+def test_direct_methods_share_the_rank_rule(dims):
+    # block (0, 0) scaled by 1e-9: A/B about 1e-18, which a rule of 1e-13 on
+    # the singular values (ratio about 1e-9) would pass; by 1e-5 every
+    # method accepts it
+    lt = gw.derive_lattice(*dims)
+    blocks = gw.factorize(gw.gaussian_window(lt.L).astype(complex), lt).blocks.copy()
+    for scale, frame in ((1e-9, False), (1e-5, True)):
+        scaled = blocks.copy()
+        scaled[0, 0] *= scale
+        fac = gw.ZakFactorization(lt, scaled)
+        assert gw.frame_bounds(gw.block_gram(fac, fac)).is_frame is frame
+        for method in (gw.eig_tight, gw.svd_tight, gw.inv_dual):
+            if frame:
+                assert np.isfinite(method(fac).blocks).all()
+            else:
+                with pytest.raises(NotAFrameError, match="not a frame"):
+                    method(fac)
+
+
+def test_rank_rule_is_read_only_in_zak():
+    # one rule of what is numerically a frame, SpectralSummary.is_frame in
+    # zak; dense, the independent oracle, keeps its own constant
+    readers = set()
+    for path in Path(zak.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if "_RANK_TOL" in names:
+                readers.add(path.name)
+    assert readers == {"zak.py", "dense.py"}
+    # canonical defines no rank check: NotAFrameError is raised there only
+    # for a pivot of the Cholesky solve
+    tree = ast.parse(Path(gw.canonical.__file__).read_text())
+    functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    assert not [f.name for f in functions if "check" in f.name]
+    raising = {f.name for f in functions if any(isinstance(n, ast.Raise) for n in ast.walk(f))}
+    assert raising == {"cholesky_solve_blocks"}
+
+
 def _block_with_condition(rng, q, kappa):
     """A random complex 2 x q block with singular values 1 and 1/kappa."""
     def orthonormal(n, k):
@@ -196,11 +273,16 @@ def _block_with_condition(rng, q, kappa):
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
-def test_svd_tight_p2_matches_mpmath_on_ill_conditioned_blocks(q, rng):
+def test_svd_tight_p2_matches_mpmath_on_ill_conditioned_blocks(q, rng, monkeypatch):
     # the closed form is as accurate as the problem allows: within
     # 4 eps kappa of the 50-digit polar factor (measured: 0.12 eps kappa;
     # LAPACK's U Vh reaches 0.84 eps kappa on the same blocks), with rows
-    # orthonormal to working precision whatever kappa is
+    # orthonormal to working precision whatever kappa is.  The rank rule
+    # refuses kappa^2 >= 1e13, so the kernel is checked past it with the
+    # rule off
+    with pytest.raises(NotAFrameError, match="not a frame"):
+        _polar_2xq(_block_with_condition(rng, q, 1e7)[None])
+    monkeypatch.setattr(zak, "_RANK_TOL", 0.0)
     for kappa in (1e2, 1e4, 1e6, 1e8, 1e10):
         blocks = np.stack([_block_with_condition(rng, q, kappa) for _ in range(3)])
         out = _polar_2xq(blocks)
@@ -253,9 +335,9 @@ def test_svd_tight_p2_property(parts, exponent, tilt):
     # (exact), where LAPACK and the products below are clear of underflow
     unit = np.ldexp(block.view(float), -np.frexp(np.abs(block).max())[1]).view(complex)
     s = np.linalg.svd(unit, compute_uv=False)[0]
-    if not s[1] > 1.1e-13 * s[0]:
+    if not s[1] ** 2 > 1.1e-13 * s[0] ** 2:
         # within 10 % of the rank threshold either outcome is right
-        if s[1] <= 0.9e-13 * s[0]:
+        if s[1] ** 2 <= 0.9e-13 * s[0] ** 2:
             with pytest.raises(NotAFrameError, match="not a frame"):
                 _polar_2xq(block)
         return

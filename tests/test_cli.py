@@ -266,8 +266,7 @@ def test_canonical_report_from_output_blocks(tmp_path, monkeypatch, method, targ
         wr = gw.wexler_raz_residual(canonical, canonical, lt)
     else:
         dln = gw.dual_lattice_norm_dual(g / np.linalg.norm(g), gn, lt)
-        wr = gw.wexler_raz_residual(
-            g, gamma / gw.adjoint_correlations(g, gamma, lt)[0, 0], lt)
+        wr = gw.wexler_raz_residual(g, gamma, lt)
     fac = gw.factorize(gamma, lt)
     bounds = gw.frame_bounds(gw.block_gram(fac, fac))
     result = json.loads((tmp_path / "c.report.json").read_text())["result"]
@@ -275,6 +274,54 @@ def test_canonical_report_from_output_blocks(tmp_path, monkeypatch, method, targ
     assert result["wexler_raz_residual"] == pytest.approx(wr, rel=0, abs=1e-13 * max(1, wr))
     for key, value in (("A", bounds.lower), ("B", bounds.upper)):
         assert abs(result["frame_bounds"][key] - value) <= 1e-13 * bounds.upper
+
+
+_ITER_RUNS = [("I", "norm")] + [(name, scaling) for name in ("II", "III", "IV", "V")
+                                for scaling in ("norm", "initial", "initial-optimal",
+                                                "constant-optimal")]
+
+
+@pytest.mark.parametrize("dims,window", [((432, 18, 18), "gauss:1"), ((600, 20, 20), "sech:2")])
+@pytest.mark.parametrize("name,scaling", _ITER_RUNS)
+def test_iter_window_is_the_direct_window(tmp_path, monkeypatch, dims, window, name, scaling):
+    # the written window itself, not a multiple of it: neither side normalized
+    written = []
+    monkeypatch.setattr("gabwin.cli.save_window", lambda path, values: written.append(values))
+    target = "tight" if name in ("I", "II", "III") else "dual"
+    system = [f"--{k}={v}" for k, v in zip("Lab", dims)] + ["--window", window]
+    assert run_cli("canonical", *system, "--method", f"iter:{name}", "--target", target,
+                   "--scaling", scaling, "--out", tmp_path / "w") == 0
+    lt = gw.derive_lattice(*dims)
+    fac = gw.factorize(gw.cli.make_window(window, lt).astype(complex), lt)
+    direct = gw.unfactorize((gw.svd_tight if target == "tight" else gw.inv_dual)(fac))
+    assert np.linalg.norm(written[0] - direct) <= 1e-12 * np.linalg.norm(direct)
+    # the report sees the scale: A = B = 1, or a Wexler-Raz residual at roundoff
+    result = json.loads((tmp_path / "w.report.json").read_text())["result"]
+    if target == "tight":
+        assert result["frame_bounds"]["A"] == pytest.approx(1.0, rel=1e-12)
+        assert result["frame_bounds"]["B"] == pytest.approx(1.0, rel=1e-12)
+    else:
+        assert result["wexler_raz_residual"] < 1e-12
+
+
+def test_dual_report_shows_the_scale_of_the_window():
+    lt = gw.derive_lattice(432, 18, 18)
+    fac = gw.factorize(gw.gaussian_window(432).astype(complex), lt)
+    dual = gw.inv_dual(fac).blocks
+    _, dln, wr = gw.diagnostics._report(fac.blocks, dual, lt, "dual")
+    _, dln2, wr2 = gw.diagnostics._report(fac.blocks, 2 * dual, lt, "dual")
+    assert wr < 1e-13 and wr2 == pytest.approx(1.0, rel=1e-12)
+    assert dln2 == pytest.approx(dln, rel=1e-12)
+
+
+def test_canonical_inv_solves_two_spectra(tmp_path, monkeypatch):
+    # the input check and inv_dual's rank test read the spectrum the input's
+    # Gram holds; the report solves that of the output's Gram
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: (calls.append(a.shape), eigvalsh(a))[1])
+    assert run_cli("canonical", "--window", "gauss:1", "--target", "dual", "--method", "inv",
+                   "--out", tmp_path / "d") == 0
+    assert calls == [(6, 6, 3, 3)] * 2
 
 
 @pytest.mark.parametrize("option", [("--tol", 0), ("--tol", -1), ("--tol", "nan"),

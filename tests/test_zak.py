@@ -237,6 +237,7 @@ def test_block_gram_is_held_per_factorization(lat432, gauss432):
 
 
 @pytest.mark.parametrize("shape,s_shape", [((6, 5, 2, 3), ()), ((6, 5, 1, 2), (6, 5, 1, 1)),
+                                           ((6, 5, 2, 3), (6, 5, 2, 1)),
                                            ((4, 6, 5, 2, 2), (4, 1, 1, 1, 1))])
 def test_over_is_numpys_complex_by_real_quotient(shape, s_shape, rng):
     # numpy divides complex by real as a product with 1 / s: the same value,
