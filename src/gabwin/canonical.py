@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotAFrameError
-from .zak import ZakFactorization, _over, _require_frame, block_gram, hermitian_part
+from .zak import (ZakFactorization, _extremes, _over, _require_frame, block_gram, frame_bounds,
+                  hermitian_part)
 
 __all__ = ["eig_tight", "svd_tight", "inv_dual", "cholesky_solve_blocks"]
 
@@ -26,10 +27,10 @@ def eig_tight(fac: ZakFactorization) -> ZakFactorization:
     """
     A = block_gram(fac, fac)
     if fac.lattice.p == 1:  # U = 1 and the block is its own eigenvalue
-        _require_frame(A._eigvals)
+        _require_frame(frame_bounds(A))
         return ZakFactorization(fac.lattice, _over(fac.blocks, np.sqrt(A._eigvals)[..., None]))
     ev, U = np.linalg.eigh(hermitian_part(A.blocks))
-    _require_frame(ev)
+    _require_frame(_extremes(ev))
     out = np.einsum("rsij,rsj,rskj,rskl->rsil", U, ev ** -0.5, U.conj(), fac.blocks)
     return ZakFactorization(fac.lattice, out)
 
@@ -56,14 +57,14 @@ def svd_tight(fac: ZakFactorization) -> ZakFactorization:
     if lt.p == 1:
         x = _unit_scaled(fac.blocks)
         s = _row_norms(x)
-        _require_frame(s * s)
+        _require_frame(_extremes(s * s))
         polar = _over(x, s, out=x)
     elif lt.p == 2:
         polar = _polar_2xq(fac.blocks)
     else:
         U, s, Vh = np.linalg.svd(fac.blocks, full_matrices=False)
         s = np.ldexp(s, -np.frexp(s.max())[1])  # exact, and its square cannot overflow
-        _require_frame(s * s)
+        _require_frame(_extremes(s * s))
         polar = np.einsum("rsij,rsjl->rsil", U, Vh)
     return ZakFactorization(lt, _over(polar, np.sqrt(lt.c * lt.d * lt.q), out=polar))
 
@@ -73,7 +74,7 @@ def _polar_2xq(blocks: np.ndarray) -> np.ndarray:
     x = _unit_scaled(blocks)
     phi1, phi2 = x[..., 0, :], x[..., 1, :]
     r11 = _row_norms(phi1)
-    _require_frame(r11 * r11)  # the test below implies it: sigma2 <= r11 <= sigma1
+    _require_frame(_extremes(r11 * r11))  # the test below implies it: sigma2 <= r11 <= sigma1
     e1 = _over(phi1, r11)
     t = np.einsum("...i,...i->...", phi2, e1.conj())[..., None]
     y = phi2 - t * e1
@@ -82,7 +83,7 @@ def _polar_2xq(blocks: np.ndarray) -> np.ndarray:
     r22, at = _row_norms(y), np.abs(t)
     h = np.hypot(r11 + r22, at)
     sigma1 = 0.5 * (h + np.hypot(r11 - r22, at))
-    _require_frame(np.concatenate([sigma1, r11 * (r22 / sigma1)]) ** 2)
+    _require_frame(_extremes(np.concatenate([sigma1, r11 * (r22 / sigma1)]) ** 2))
     e2, s, t = _over(y, r22), (r11 + r22) / h, _over(t, h)
     return np.stack([s * e1 - t.conj() * e2, t * e1 + s * e2], axis=-2)
 
@@ -148,5 +149,5 @@ def cholesky_solve_blocks(op_blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def inv_dual(fac: ZakFactorization) -> ZakFactorization:
     """Canonical dual window: per-block Hermitian solve A X = Phi."""
     A = block_gram(fac, fac)
-    _require_frame(A._eigvals)
+    _require_frame(frame_bounds(A))
     return ZakFactorization(fac.lattice, cholesky_solve_blocks(A.blocks, fac.blocks))

@@ -115,7 +115,7 @@ def save_window(path: str, values: np.ndarray) -> None:
 def _frame_bounds(fac: ZakFactorization) -> SpectralSummary:
     """Best frame bounds of the window whose factorization is fac;
     NotAFrameError when it is not a frame (SpectralSummary.is_frame)."""
-    return _require_frame(block_gram(fac, fac)._eigvals)
+    return _require_frame(frame_bounds(block_gram(fac, fac)))
 
 
 def _steps_to_converge(trace) -> int:
@@ -153,11 +153,17 @@ def cmd_canonical(args: argparse.Namespace) -> int:
                 f"algorithm {name} computes the {config.target} window, "
                 f"not {args.target}")
         trace = run(g, lattice, config)
-        out = trace.blocks[-1]
-        if trace.converged:  # a limit is a multiple of the canonical window
-            out = out / diagnostics._canonical_scale(fac.blocks, out, lattice, args.target)
-        gamma = unfactorize(ZakFactorization(lattice, out))
+        out, gamma = trace.blocks[-1], trace.final
         wrong = trace.converged and trace.wrong_limit
+        if trace.converged and not wrong:
+            # the limit is t h, h the canonical window, and Wexler-Raz fixes
+            # t: h has squared norm ab/L (tight), and <h, g> = ab/L for the
+            # input g as given (dual, as A^{g,h} = I; <u, v> = sum u conj(v))
+            if args.target == "tight":
+                t = np.linalg.norm(out) / np.sqrt(lattice.density)
+            else:
+                t = np.vdot(fac.blocks, out) / lattice.density
+            out, gamma = out / t, gamma / t
         code = EXIT_WRONG_LIMIT if wrong else _EXIT_CODES[trace.stop_reason]
         report["iteration"] = {
             "algorithm": name,

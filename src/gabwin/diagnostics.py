@@ -18,8 +18,8 @@ import warnings
 import numpy as np
 
 from .lattice import GaborLattice
-from .zak import (BlockOperator, SpectralSummary, ZakFactorization, _eigvals, _gram_blocks,
-                  _hermitian_eigvals, factorize, frame_bounds)
+from .zak import (BlockOperator, SpectralSummary, ZakFactorization, _eigvals, _extremes,
+                  _gram_blocks, _hermitian_eigvals, factorize, frame_bounds)
 
 __all__ = [
     "adjoint_correlations",
@@ -92,17 +92,6 @@ def _report(g_blocks: np.ndarray, gamma_blocks: np.ndarray, lattice: GaborLattic
     return frame_bounds(BlockOperator(lattice, A)), dln, float(np.abs(corr).max())
 
 
-def _canonical_scale(g_blocks: np.ndarray, gamma_blocks: np.ndarray, lattice: GaborLattice,
-                     target: str):
-    """The factor t of a limit gamma = t h of the canonical window h, by
-    Wexler-Raz: the canonical tight window has squared norm ab/L, and the
-    canonical dual h of the input g as given (not prescaled) has
-    <h, g> = ab/L (as A^{g,h} = I), with <u, v> = sum u conj(v)."""
-    if target == "tight":
-        return np.linalg.norm(gamma_blocks) / np.sqrt(lattice.density)
-    return np.vdot(g_blocks, gamma_blocks) / lattice.density
-
-
 def adjoint_correlations(f: np.ndarray, h: np.ndarray, lattice: GaborLattice) -> np.ndarray:
     """Scaled inner products of f against adjoint-lattice shifts of h.
 
@@ -167,8 +156,7 @@ def _spectrum(A: np.ndarray, target: str) -> SpectralSummary:
     scaled by a power of two), at p >= 3 from LAPACK.
     """
     if target == "tight":
-        ev = _hermitian_eigvals(A)
-        return SpectralSummary(lower=float(ev.min()), upper=float(ev.max()))
+        return _extremes(_hermitian_eigvals(A))
     ev = _eigvals(A)
     mod = np.abs(ev)
     with np.errstate(divide="ignore", invalid="ignore"):

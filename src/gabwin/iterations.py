@@ -418,7 +418,7 @@ def _start_constant(g: np.ndarray, lattice: GaborLattice, config: IterationConfi
     S = _gram_blocks(g, g)
     if config.scaling == "initial":
         return upper_frame_bound_estimate(BlockOperator(lattice, S))
-    bounds = _require_frame(_hermitian_eigvals(S))
+    bounds = _require_frame(diagnostics._spectrum(S, "tight"))
     return optimal_scaling_constant(bounds.lower, bounds.upper, config.algorithm_name)
 
 

@@ -119,9 +119,8 @@ class ZakFactorization:
 
 @dataclass(frozen=True)
 class BlockOperator:
-    """c x d grid of p x p blocks representing an operator commuting with
-    the lattice shifts (e.g. a frame operator); immutable, so it holds the
-    eigenvalues of its blocks' Hermitian parts from their first read."""
+    """c x d grid of p x p read-only blocks of an operator commuting with the
+    lattice shifts (e.g. a frame operator); it holds their eigenvalues."""
 
     lattice: GaborLattice
     blocks: np.ndarray
@@ -162,10 +161,13 @@ class SpectralSummary:
         return self.lower > _RANK_TOL * self.upper
 
 
-def _require_frame(values: np.ndarray) -> SpectralSummary:
-    """The extremes of values, eigenvalues of Gram blocks or squared singular
-    values of factorization blocks; NotAFrameError unless is_frame."""
-    summary = SpectralSummary(lower=float(values.min()), upper=float(values.max()))
+def _extremes(values: np.ndarray) -> SpectralSummary:
+    """Least and largest of values: Gram eigenvalues or squared singular values."""
+    return SpectralSummary(lower=float(values.min()), upper=float(values.max()))
+
+
+def _require_frame(summary: SpectralSummary) -> SpectralSummary:
+    """summary, or NotAFrameError unless it is_frame."""
     if not summary.is_frame:
         raise NotAFrameError("not a frame: frame operator numerically singular")
     return summary
@@ -298,11 +300,6 @@ def apply_block_operator(op: BlockOperator, fac: ZakFactorization) -> ZakFactori
     return ZakFactorization(fac.lattice, _block_product(op.blocks, fac.blocks))
 
 
-# rows from which a per-row divisor pays as whole planes (see _over): the
-# two forms measured about even at 1024 rows of q = 2 to 4, one BLAS thread
-_PLANE_ROWS = 1024
-
-
 def _over(X: np.ndarray, s, out=None) -> np.ndarray:
     """X / s for real s, into out if given, else into a new array in the
     layout of X (an s that broadcasts, one value a member of a stack,
@@ -312,19 +309,12 @@ def _over(X: np.ndarray, s, out=None) -> np.ndarray:
     its bits wherever a part is finite and nonzero.  The sign of an exact
     zero part can differ: complex(-0.0, 1) / 3 has real part +0.0, while
     the product keeps -0.0.  Real X is divided, since x (1 / s) can differ
-    from x / s by an ulp.  One divisor a row, s shaped (..., 1) against
-    (..., q) X, runs as q whole-plane calls when there are _PLANE_ROWS rows
-    or more: a broadcast along a short trailing axis costs more there, and
-    less below, where the q calls cost more than the elements."""
+    from x / s by an ulp."""
     if out is None and isinstance(s, np.ndarray):
         out = np.empty_like(X, dtype=np.result_type(X, s))
-    op, s = (np.multiply, 1 / s) if np.iscomplexobj(X) else (np.divide, s)
-    if (isinstance(s, np.ndarray) and s.size >= _PLANE_ROWS
-            and s.shape == X.shape[:-1] + (1,)):
-        for l in range(X.shape[-1]):
-            op(X[..., l], s[..., 0], out=out[..., l])
-        return out
-    return op(X, s, out=out)
+    if np.iscomplexobj(X):
+        return np.multiply(X, 1 / s, out=out)
+    return np.divide(X, s, out=out)
 
 
 def hermitian_part(blocks: np.ndarray) -> np.ndarray:
@@ -394,4 +384,4 @@ def frame_bounds(op: BlockOperator) -> SpectralSummary:
     solved once per operator and held.  A system that is not numerically a
     frame is reported through SpectralSummary.is_frame rather than raised.
     """
-    return SpectralSummary(lower=float(op._eigvals.min()), upper=float(op._eigvals.max()))
+    return _extremes(op._eigvals)

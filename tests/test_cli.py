@@ -135,18 +135,24 @@ def test_converged_wrong_limit_exit_code(tmp_path, dims, window, method, target,
     # a run that converges on a sign-flipped window writes its window and
     # report, but must not exit 0
     lattice = gw.derive_lattice(*dims)
+    g = gw.cli.make_window(window, lattice).astype(complex)
     argv = ["canonical", "--L", lattice.L, "--a", lattice.a, "--b", lattice.b,
             "--window", window, "--method", method, "--target", target,
             "--scaling", scaling, "--out", tmp_path / "wrong"]
+    Bhat = None
     if scaling == "initial":  # past order 2's sign-flip boundary Bhat = B/3
-        fac = gw.factorize(gw.cli.make_window(window, lattice).astype(complex), lattice)
-        argv += ["--Bhat", gw.frame_bounds(gw.block_gram(fac, fac)).upper / 3.5]
+        fac = gw.factorize(g, lattice)
+        Bhat = gw.frame_bounds(gw.block_gram(fac, fac)).upper / 3.5
+        argv += ["--Bhat", Bhat]
     assert run_cli(*argv) == gw.cli.EXIT_WRONG_LIMIT == 5
     iteration = json.loads((tmp_path / "wrong.report.json").read_text())["iteration"]
     assert iteration["stop_reason"] == "converged" and iteration["steps"] == steps
     assert iteration["wrong_limit"] is True
     assert iteration["error_vs_reference"] > 1
-    assert (tmp_path / "wrong.window").stat().st_size == 8 * lattice.L
+    # a wrong limit is no multiple of the canonical window: written as it stopped
+    config = gw.IterationConfig.from_algorithm(method[5:], scaling=scaling, Bhat=Bhat)
+    written = np.fromfile(tmp_path / "wrong.window", dtype="<c8")
+    assert np.array_equal(written, gw.run(g, lattice, config).final.astype("<c8"))
 
 
 def test_loose_tol_exits_zero(tmp_path):
