@@ -63,8 +63,7 @@ def svd_tight(fac: ZakFactorization) -> ZakFactorization:
         polar = _polar_2xq(fac.blocks)
     else:
         U, s, Vh = np.linalg.svd(fac.blocks, full_matrices=False)
-        s = np.ldexp(s, -np.frexp(s.max())[1])  # exact, and its square cannot overflow
-        _require_frame(_extremes(s * s))
+        _require_frame(_extremes(np.ldexp(s, -np.frexp(s.max())[1]) ** 2))  # exact, no overflow
         polar = np.einsum("rsij,rsjl->rsil", U, Vh)
     return ZakFactorization(lt, _over(polar, np.sqrt(lt.c * lt.d * lt.q), out=polar))
 
