@@ -71,20 +71,65 @@ def svd_tight(fac: ZakFactorization) -> ZakFactorization:
 def _polar_2xq(blocks: np.ndarray) -> np.ndarray:
     """Polar factor of (..., 2, q) blocks in closed form (see svd_tight)."""
     x = _unit_scaled(blocks)
+    r11, t, r22 = _gram_schmidt_2xq(x)
+    e1, e2 = x[..., 0, :], x[..., 1, :]
+    # the test below implies this one (sigma2 <= r11 <= sigma1) but for a
+    # zero block, where it would take 0 / 0
+    _require_frame(_extremes(r11 * r11))
+    at = np.abs(t)
+    h = np.hypot(r11 + r22, at)
+    sigma1 = 0.5 * (h + np.hypot(r11 - r22, at))
+    _require_frame(_extremes(np.concatenate([sigma1, r11 * (r22 / sigma1)]) ** 2))
+    s, t = (r11 + r22) / h, _over(t, h)
+    return np.stack([s * e1 - t.conj() * e2, t * e1 + s * e2], axis=-2)
+
+
+def _gram_schmidt_2xq(x: np.ndarray):
+    """x = [[r11, 0], [t, r22]] E for (..., 2, q) blocks x, by Gram-Schmidt
+    on the rows, re-orthogonalized once, so that the rows of E are
+    orthonormal to working precision: returns r11, t, r22 as (..., 1) and
+    overwrites x with E.  A row of zero norm gives a zero row of E (a rank
+    deficient block, which svd_tight refuses and _lq_split keeps)."""
     phi1, phi2 = x[..., 0, :], x[..., 1, :]
     r11 = _row_norms(phi1)
-    _require_frame(_extremes(r11 * r11))  # the test below implies it: sigma2 <= r11 <= sigma1
-    e1 = _over(phi1, r11)
+    e1 = _unit_rows(phi1, r11, out=phi1)
     t = np.einsum("...i,...i->...", phi2, e1.conj())[..., None]
     y = phi2 - t * e1
     dt = np.einsum("...i,...i->...", y, e1.conj())[..., None]
     y, t = y - dt * e1, t + dt
-    r22, at = _row_norms(y), np.abs(t)
-    h = np.hypot(r11 + r22, at)
-    sigma1 = 0.5 * (h + np.hypot(r11 - r22, at))
-    _require_frame(_extremes(np.concatenate([sigma1, r11 * (r22 / sigma1)]) ** 2))
-    e2, s, t = _over(y, r22), (r11 + r22) / h, _over(t, h)
-    return np.stack([s * e1 - t.conj() * e2, t * e1 + s * e2], axis=-2)
+    r22 = _row_norms(y)
+    _unit_rows(y, r22, out=phi2)
+    return r11, t, r22
+
+
+def _unit_rows(x: np.ndarray, norms: np.ndarray, out=None) -> np.ndarray:
+    """x over its row norms, into out if given; a zero row where the norm is
+    subnormal or 0, whose reciprocal would overflow (1 / inf is 0)."""
+    return _over(x, np.where(norms >= np.finfo(norms.dtype).tiny, norms, np.inf), out=out)
+
+
+def _lq_split(blocks: np.ndarray):
+    """(R, Q) with blocks = R Q blockwise, R (..., p, p) lower triangular
+    with a real diagonal (real at p = 1) and Q (..., p, q) with orthonormal
+    rows, in closed form: at p = 1 R is the row norm by hypot, at p = 2 the
+    Gram-Schmidt factors of svd_tight, with R and Q in planar storage (see
+    zak), each block entry a contiguous (c, d) plane after the leading axes.
+    A row norm that overflows is inf.  Returns (blocks, None) at p > 2,
+    where numpy's batched QR would cost more than the split saves, and at
+    p = q, where there is nothing to split."""
+    p, q = blocks.shape[-2:]
+    if p > 2 or p == q:
+        return blocks, None
+    with np.errstate(over="ignore"):
+        if p == 1:
+            r = _row_norms(blocks)
+            return r, _unit_rows(blocks, r)
+        planes = np.array(np.moveaxis(blocks, (-2, -1), (-4, -3)), order="C")
+        x = np.moveaxis(planes, (-4, -3), (-2, -1))
+        r11, t, r22 = _gram_schmidt_2xq(x)
+    R = np.zeros_like(x, shape=x.shape[:-1] + (2,))
+    R[..., 0, 0], R[..., 1, 0], R[..., 1, 1] = r11[..., 0], t[..., 0], r22[..., 0]
+    return R, x
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:

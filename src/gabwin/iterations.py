@@ -21,8 +21,13 @@ takes windows and a config: run() (a batch of one that keeps every
 iterand; one step is a fixed one-step run), _run_stack (a sweep, in
 batches capped by their footprint, each trace keeping its start and last
 iterand) and scalar_iteration (one member of 1 x 1 blocks of singular
-values).  _prescale gives each member its start constant by one rule
-(_start_constant).  The stack is stored
+values).  At p <= 2 < q run() and _run_stack split the window blocks once
+as R_0 Q, R_0 p x p and Q with orthonormal rows (canonical._lq_split), and
+iterate R: every iterand is a polynomial in S applied to g, so its blocks
+are R_k Q, which the trace forms when they are read.  A p x p step costs
+less than a p x q one, and Q, an isometry, amplifies no rounding of R.  At
+p >= 3 the blocks are iterated whole.  _prescale gives each member its
+start constant by one rule (_start_constant).  The stack is stored
 member-major, each member contiguous, so a member's norm is a dot
 product over its memory; at p = 2 as (n, p, q, ..., c, d) planar storage
 (see zak).  At p <= 2 every step is whole-plane products, the Cholesky
@@ -42,7 +47,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import diagnostics
-from .canonical import cholesky_solve_blocks, inv_dual, svd_tight
+from .canonical import _lq_split, cholesky_solve_blocks, inv_dual, svd_tight
 from .errors import NotAFrameError
 from .lattice import GaborLattice
 from .zak import (BlockOperator, ZakFactorization, _block_product, _gram_blocks,
@@ -127,6 +132,8 @@ def optimal_scaling_constant(lower: float, upper: float, algorithm: str) -> floa
     if not 0 < lower <= upper:
         raise ValueError(f"invalid bound ordering: ({lower}, {upper})")
     A, B = lower, upper
+    if algorithm in ("III", "V") and not B * B < np.inf:  # (B - A) ** 2 would raise
+        raise ValueError(f"upper bound too large: {B:.3g}, its square overflows")
     if algorithm == "I":
         return float(np.sqrt(A * B))
     if algorithm == "II":
@@ -282,39 +289,48 @@ def _each(values):
     return values.ravel() if isinstance(values, np.ndarray) else (values,)
 
 
-def _combine(coeffs, terms, norm_scaled: bool) -> np.ndarray:
+def _combine(coeffs, terms, norm_scaled: bool, norm=None) -> np.ndarray:
     """sum_j coeffs[j] terms[j], each member of a term over its norm when
-    norm_scaled, added up from the first term (sum() would start from 0:
-    one more pass)."""
-    scaled = [_over(cf * T, _norms(T)) if norm_scaled else cf * T
-              for cf, T in zip(coeffs, terms)]
-    out = scaled[0]
-    for term in scaled[1:]:
-        out += term
+    norm_scaled (the first term's is ``norm`` when given), added up from the
+    first term (sum() would start from 0: one more pass).  The first term,
+    the iterand, is copied; the others, the step's own products, are scaled
+    in place."""
+    out = None
+    for cf, T in zip(coeffs, terms):
+        if norm_scaled:
+            T_norm = norm if out is None and norm is not None else _norms(T)
+        T = cf * T if out is None else np.multiply(cf, T, out=T)
+        if norm_scaled:
+            _over(T, T_norm, out=T)
+        if out is None:
+            out = T
+        else:
+            out += T
     return out
 
 
-def _tight_step_blocks(blocks, A, coeffs, norm_scaled):
+def _tight_step_blocks(blocks, A, coeffs, norm_scaled, norm):
     terms = [blocks]
     for _ in range(len(coeffs) - 1):
         terms.append(_block_product(A, terms[-1]))
-    return _combine(coeffs, terms, norm_scaled)
+    return _combine(coeffs, terms, norm_scaled, norm)
 
 
-def _dual_step_blocks(blocks, g_blocks, Agg, coeffs, norm_scaled):
-    A = _gram_blocks(blocks, blocks)
+def _dual_step_blocks(blocks, g_blocks, Agg, coeffs, norm_scaled, norm, q):
+    # at the start the iterand is g, whose Gram is A^{g,g}
+    A = Agg if blocks is g_blocks else _gram_blocks(blocks, blocks, q)
     terms = [blocks, _block_product(A, g_blocks)]
     while len(terms) < len(coeffs):
         terms.append(_block_product(Agg, _block_product(A, terms[-2])))
-    return _combine(coeffs, terms[:len(coeffs)], norm_scaled)
+    return _combine(coeffs, terms[:len(coeffs)], norm_scaled, norm)
 
 
-def _inverse_step_blocks(blocks, A):
+def _inverse_step_blocks(blocks, A, norm):
     try:
         solved = cholesky_solve_blocks(A, blocks)
     except NotAFrameError as exc:
         raise NotAFrameError("iterand lost frame property") from exc
-    return _over(0.5 * blocks, _norms(blocks)) + _over(0.5 * solved, _norms(solved))
+    return _combine((0.5, 0.5), (blocks, solved), True, norm)
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +340,17 @@ def _inverse_step_blocks(blocks, A):
 class IterationTrace:
     """Record of a run, which keeps the blocks of every iterand.
 
-    run() fills the fields: ``blocks[k]``, the Zak blocks of gamma_k
-    (gamma_0 is the prescaled window g); ``rel_steps[k]``,
-    ||gamma_{k+1} - gamma_k|| / ||gamma_{k+1}||; and ``stop_reason`` (see
-    _iterate).  Everything else is computed from the blocks when first
-    read: ``final``, the last iterand as a signal; ``errors[k]``, the
-    normalized gamma_k's distance to the normalized reference (svd_tight or
-    inv_dual of gamma_0), on the blocks, the one field that solves it;
+    run() fills the fields: ``factors[k]``, what the loop iterated for
+    gamma_k (gamma_0 is the prescaled window g); ``rel_steps[k]``,
+    ||gamma_{k+1} - gamma_k|| / ||gamma_{k+1}||; ``stop_reason`` (see
+    _iterate); and ``rows``.  At p <= 2 < q ``rows`` is the Q of the
+    window's blocks R_0 Q (see _lq_split) and ``factors[k]`` is R_k; else
+    ``rows`` is None and ``factors[k]`` the blocks of gamma_k.  Everything
+    else is computed when first read: ``blocks[k]``, the Zak blocks of
+    gamma_k, R_k Q; ``final``, the last iterand as a signal; ``errors[k]``,
+    the normalized gamma_k's distance to the normalized reference
+    (svd_tight or inv_dual of gamma_0), on the blocks, the one field that
+    solves it;
     ``wrong_limit``, a run that diverged, or converged to a sign-flipped
     window: the Hermitian part of a block of A^{g,gamma} of the last iterand
     has a negative eigenvalue (at a tight limit U D V* of g = U S V*, with
@@ -345,9 +365,10 @@ class IterationTrace:
 
     config: IterationConfig
     lattice: GaborLattice
-    blocks: list
+    factors: list
     rel_steps: list
     stop_reason: str
+    rows: np.ndarray | None = None
 
     @property
     def steps_taken(self) -> int:
@@ -357,23 +378,33 @@ class IterationTrace:
     def converged(self) -> bool:
         return self.stop_reason == "converged"
 
+    def _block(self, k: int) -> np.ndarray:
+        """The blocks of gamma_k, formed on each call, so that the fields
+        that read one iterand at a time hold none of them."""
+        R = self.factors[k]
+        return R if self.rows is None else _block_product(R, self.rows)
+
+    @cached_property
+    def blocks(self) -> list:
+        return [self._block(k) for k in range(len(self.factors))]
+
     @cached_property
     def errors(self) -> list:
         solve = svd_tight if self.config.target == "tight" else inv_dual
-        reference = solve(ZakFactorization(self.lattice, self.blocks[0])).blocks
+        reference = solve(ZakFactorization(self.lattice, self._block(0))).blocks
         reference = reference / np.linalg.norm(reference)
         return [float(np.linalg.norm(b / np.linalg.norm(b) - reference))
-                for b in self.blocks]
+                for b in map(self._block, range(len(self.factors)))]
 
     @cached_property
     def wrong_limit(self) -> bool:
         if self.stop_reason != "converged":
             return self.stop_reason in ("diverging", "non_finite")
-        return bool(_hermitian_eigvals(_gram_blocks(self.blocks[0], self.blocks[-1])).min() < 0)
+        return bool(_hermitian_eigvals(_gram_blocks(self._block(0), self._block(-1))).min() < 0)
 
     @cached_property
     def final(self) -> np.ndarray:
-        return unfactorize(ZakFactorization(self.lattice, self.blocks[-1]))
+        return unfactorize(ZakFactorization(self.lattice, self._block(-1)))
 
     @cached_property
     def iterands(self) -> list:
@@ -415,7 +446,7 @@ def _start_constant(g: np.ndarray, lattice: GaborLattice, config: IterationConfi
     of its frame bounds (initial_optimal)."""
     if config.Bhat is not None:
         return config.Bhat
-    S = _gram_blocks(g, g)
+    S = _gram_blocks(g, g, None if lattice is None else lattice.q)
     if config.scaling == "initial":
         return upper_frame_bound_estimate(BlockOperator(lattice, S))
     bounds = _require_frame(diagnostics._spectrum(S, "tight"))
@@ -426,22 +457,30 @@ def _prescale(g_blocks: np.ndarray, lattice: GaborLattice, config: IterationConf
     """The stack the iteration starts from, member by member: g over the
     root of its _start_constant (initial, initial_optimal), else g; at
     p = 2 copied into planar storage (see _members).  Raises ValueError when
-    the squared norm of a member underflows, as every bound would."""
+    the squared norm of a member overflows, before any Gram is built, or
+    when it underflows, as every bound would."""
     finfo = np.finfo(g_blocks.dtype)
+    with np.errstate(over="ignore"):
+        norms = _each(_norms(g_blocks))
+    if not max(norms) < np.inf:
+        raise ValueError(f"window norm too large: its square overflows {finfo.dtype}")
     if config.scaling in ("initial", "initial_optimal"):
         Bhat = np.array([_checked_Bhat(_start_constant(g, lattice, config)) for g in g_blocks],
                         dtype=finfo.dtype)
         g_blocks = g_blocks / _per_member(np.sqrt(Bhat), g_blocks)
-    g_norm, least = min(_each(_norms(g_blocks))), np.sqrt(finfo.tiny)
+        norms = _each(_norms(g_blocks))
+    g_norm, least = min(norms), np.sqrt(finfo.tiny)
     if not g_norm >= least:
         raise ValueError(f"window norm too small: {g_norm:.3g} < {least:.3g}, "
                          f"its square underflows {finfo.dtype}")
     return _members(g_blocks, slice(None))
 
 
-def _iterate(g_blocks: np.ndarray, config: IterationConfig, every: bool = True) -> list:
+def _iterate(g_blocks: np.ndarray, config: IterationConfig, every: bool = True,
+             q: int | None = None) -> list:
     """Iterate every member of the (prescaled) stack g_blocks to the
-    stopping rule.
+    stopping rule.  The blocks are (..., p, q) window blocks, or their p x p
+    factors R (see _lq_split) with q the lattice's, which every Gram takes.
 
     A tight step reuses the Gram A^{gamma,gamma} of its iterand, a dual step
     builds its own and reuses A^{g,g}.  Only constant_optimal reads a
@@ -467,7 +506,8 @@ def _iterate(g_blocks: np.ndarray, config: IterationConfig, every: bool = True) 
     iterands, rel_steps, reasons = [[g] for g in g_blocks], [[] for _ in range(n)], [None] * n
     live = list(range(n))  # the members in the rows of the stack
     blocks = g_start = g_blocks
-    Agg = None if tight else _gram_blocks(g_blocks, g_blocks)
+    Agg = None if tight else _gram_blocks(g_blocks, g_blocks, q)
+    norm = diff = None  # the norm of the iterand, when taken; the step buffer
 
     def stop(member, reason):
         reasons[member] = reason
@@ -477,25 +517,29 @@ def _iterate(g_blocks: np.ndarray, config: IterationConfig, every: bool = True) 
             kept[1:] = [kept[-1].copy(order="K")]
 
     for step in range(config.max_steps):
-        A = _gram_blocks(blocks, blocks) if tight else None
-        if config.scaling == "constant_optimal":
-            grams = A if tight else _gram_blocks(g_start, blocks)
-            const = [optimal_scaling_constant(b.lower, b.upper, config.algorithm_name)
-                     for b in (diagnostics._spectrum(G, config.target) for G in grams)]
-            const = _per_member(np.array(const, dtype=real), blocks)
-            if tight:
-                blocks, A = _over(blocks, np.sqrt(const)), _over(A, const)
-            else:
-                blocks = _over(blocks, const)
-
         with np.errstate(over="ignore", invalid="ignore"):
+            A = _gram_blocks(blocks, blocks, q) if tight else None
+            if config.scaling == "constant_optimal":
+                grams = A if tight else _gram_blocks(g_start, blocks, q)
+                const = [optimal_scaling_constant(b.lower, b.upper, config.algorithm_name)
+                         for b in (diagnostics._spectrum(G, config.target) for G in grams)]
+                const = _per_member(np.array(const, dtype=real), blocks)
+                if tight:
+                    blocks = _over(blocks, np.sqrt(const))
+                    _over(A, const, out=A)
+                else:
+                    blocks = _over(blocks, const)
+
             if config.inverse:
-                new = _inverse_step_blocks(blocks, A)
+                new = _inverse_step_blocks(blocks, A, norm)
             elif tight:
-                new = _tight_step_blocks(blocks, A, coeffs, norm_scaled)
+                new = _tight_step_blocks(blocks, A, coeffs, norm_scaled, norm)
             else:
-                new = _dual_step_blocks(blocks, g_start, Agg, coeffs, norm_scaled)
-            new_norm, step_norm = _norms(new), _norms(new - blocks)
+                new = _dual_step_blocks(blocks, g_start, Agg, coeffs, norm_scaled, norm, q)
+            if diff is None:
+                diff = np.empty_like(new)
+            norm = _norms(new)
+            new_norm, step_norm = norm, _norms(np.subtract(new, blocks, out=diff[:len(new)]))
 
         stay = []
         for row, (member, new_norm, step_norm) in enumerate(zip(live, _each(new_norm),
@@ -520,6 +564,7 @@ def _iterate(g_blocks: np.ndarray, config: IterationConfig, every: bool = True) 
         if len(stay) == len(live):
             blocks = new
             continue
+        norm = None
         live = [live[row] for row in stay]
         if not live:
             break
@@ -539,21 +584,30 @@ def _budget_stop(iterands: list, rel_steps: list, config: IterationConfig) -> st
     return "budget"
 
 
+def _traces(stack: np.ndarray, lattice: GaborLattice, config: IterationConfig,
+            every: bool) -> list:
+    """Run every member of a stack (n, c, d, p, q) of window blocks as one
+    batch and record each: the blocks are split once as R Q (_lq_split),
+    the R are prescaled and iterated, and each trace keeps its member's Q."""
+    R, Q = _lq_split(stack)
+    results = _iterate(_prescale(R, lattice, config), config, every, lattice.q)
+    return [IterationTrace(config, lattice, *result, rows=rows)
+            for result, rows in zip(results, [None] * len(stack) if Q is None else Q)]
+
+
 def _run_stack(stack: np.ndarray, lattice: GaborLattice, config: IterationConfig) -> list:
     """Run every member of a stack (n, c, d, p, q) of window blocks under one
     config and record each: one trace per member, in order, which keeps the
     blocks of its start and last iterand (see _iterate).  The members run in
     batches of at most _STACK_BYTES of blocks."""
     size = max(1, _STACK_BYTES // stack[0].nbytes)
-    return [IterationTrace(config, lattice, *result) for lo in range(0, len(stack), size)
-            for result in _iterate(_prescale(stack[lo:lo + size], lattice, config), config,
-                                   every=False)]
+    return [trace for lo in range(0, len(stack), size)
+            for trace in _traces(stack[lo:lo + size], lattice, config, every=False)]
 
 
 def run(g: np.ndarray, lattice: GaborLattice, config: IterationConfig) -> IterationTrace:
     """Run an iteration to the configured stopping rule and record it."""
-    start = _prescale(factorize(g, lattice).blocks[None], lattice, config)
-    return IterationTrace(config, lattice, *_iterate(start, config)[0])
+    return _traces(factorize(g, lattice).blocks[None], lattice, config, every=True)[0]
 
 
 def scalar_iteration(sigmas: np.ndarray, config: IterationConfig) -> np.ndarray:

@@ -230,35 +230,38 @@ def unfactorize(fac: ZakFactorization) -> np.ndarray:
     return f.reshape(lt.L)
 
 
-def _gram_blocks(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _gram_blocks(X: np.ndarray, Y: np.ndarray, q: int | None = None) -> np.ndarray:
     """Gram blocks cdq X Y* (..., c, d, p, p) of (..., c, d, p, q) blocks, in
-    the input dtype; leading axes are a batch.  At p <= 2 entry (k, m) is the
-    q-term sum of X[..., k, l] conj(Y[..., m, l]) over the (c, d) plane, the
-    upper triangle only when X is Y, so A is exactly Hermitian, stored in
-    the layout of X: planar X gives planar A.  At p >= 3 einsum runs: p^2 q
-    ufunc calls cost more at small c d, and its unfused products keep the
-    bits."""
+    the input dtype; leading axes are a batch.  q is the lattice's, which is
+    the block shape's unless X and Y are the p x p factors R of blocks R Q
+    with orthonormal rows Q (see iterations).  At p <= 2 entry (k, m) is the
+    sum of X[..., k, l] conj(Y[..., m, l]) over the (c, d) plane, added up in
+    its plane of the output; when X is Y the diagonal is sums of squares,
+    every row at once, and the lower triangle the conjugate of the upper, so
+    A is exactly Hermitian.  A is stored in the layout of X: planar X gives
+    planar A.  At p >= 3 einsum runs: p^2 q ufunc calls cost more at small
+    c d, and its unfused products keep the bits."""
     # cdq restores the frame-operator normalization on unitary factorizations
-    c, d, p, q = X.shape[-4:]
-    cdq = c * d * q
+    c, d, p, cols = X.shape[-4:]
+    cdq = c * d * (cols if q is None else q)
     if p > 2:
         return cdq * np.einsum("...kl,...ml->...km", X, Y.conj())
     herm = X is Y
-
-    def term(k, m, l):
-        if herm and m == k:  # a fused x conj(x) would not be exactly real
-            return X[..., k, l].real ** 2 + X[..., k, l].imag ** 2
-        return X[..., k, l] * Y[..., m, l].conj()
-
     out = np.empty_like(X, dtype=np.result_type(X, Y), shape=X.shape[:-2] + (p, p))
+    if herm:  # the diagonal from squares: a fused x conj(x) would not be exactly real
+        squares = X.real ** 2 + X.imag ** 2
+        diag = squares[..., 0]
+        for l in range(1, cols):
+            diag = diag + squares[..., l]
+        for k in range(p):
+            out[..., k, k] = diag[..., k]
     for k in range(p):
-        for m in range(k if herm else 0, p):
-            acc = term(k, m, 0)
-            for l in range(1, q):
-                acc += term(k, m, l)
-            out[..., k, m] = acc
-            if herm and m > k:
-                out[..., m, k] = acc.conj()
+        for m in range(k + 1 if herm else 0, p):
+            acc = np.multiply(X[..., k, 0], Y[..., m, 0].conj(), out=out[..., k, m])
+            for l in range(1, cols):
+                acc += X[..., k, l] * Y[..., m, l].conj()
+            if herm:
+                np.conjugate(acc, out=out[..., m, k])
     return np.multiply(out, cdq, out=out)
 
 

@@ -451,24 +451,36 @@ def test_kernels_call_einsum_only_at_p_above_2(monkeypatch):
     def no_einsum(*args, **kwargs):
         raise AssertionError("np.einsum called")
 
-    def one_step(g, lattice, name):  # of order 3
+    def steps(g, lattice, name, n):  # of order 3
         return gw.run(g, lattice, gw.IterationConfig.from_algorithm(
-            name, stop_mode="fixed", max_steps=1))
+            name, stop_mode="fixed", max_steps=n))
 
-    monkeypatch.setattr(np, "einsum", no_einsum)
+    einsum = np.einsum
     for p, (g, fac) in facs.items():
+        monkeypatch.setattr(np, "einsum", no_einsum)
         calls = [lambda: gw.block_gram(fac, fac),
                  lambda: gw.apply_block_operator(
                      gw.BlockOperator(fac.lattice, np.ones(fac.blocks.shape[:-1] + (p,))),
-                     fac),
-                 lambda: one_step(g, fac.lattice, "III"),
-                 lambda: one_step(g, fac.lattice, "V")]
+                     fac)]
         for call in calls:
             if p <= 2:
                 call()
             else:
                 with pytest.raises(AssertionError, match="einsum called"):
                     call()
+        # at p = 2 a run's LQ split, made once, takes svd_tight's row inner
+        # products by einsum; its steps take none
+        counts = []
+        for name in ("III", "V"):
+            for n in (1, 3):
+                calls = []
+                monkeypatch.setattr(np, "einsum", lambda *a: calls.append(a) or einsum(*a))
+                steps(g, fac.lattice, name, n)
+                counts.append(len(calls))
+        if p == 3:
+            assert counts[0] < counts[1] and counts[2] < counts[3]
+        else:
+            assert counts == [2 * (p == 2)] * 4
 
 
 def _planar(X):
