@@ -8,7 +8,7 @@ batches of small dense matrix operations.
 
 __version__ = "0.1.0"
 
-from .lattice import GaborLattice, derive_lattice, tf_shift
+from .lattice import GaborLattice, derive_lattice
 from .errors import InvalidLatticeError, NotAFrameError
 from .windows import gaussian_window, monster_window, sech_window
 from .zak import (
@@ -21,12 +21,10 @@ from .zak import (
     factorize,
     frame_bounds,
     unfactorize,
-    zak_extend,
 )
 from .canonical import eig_tight, inv_dual, svd_tight
 from .dense import (
     SynthesisMatrix,
-    normalized_singular_values,
     reference_dual,
     reference_tight,
     synthesis_matrix,
@@ -43,7 +41,6 @@ from .iterations import (
 )
 from .diagnostics import (
     adjoint_correlations,
-    convergence_order,
     dual_lattice_norm_dual,
     dual_lattice_norm_tight,
     kantorovich_bound_dual,
@@ -59,20 +56,19 @@ from .scalarlab import (
 )
 
 __all__ = [
-    "GaborLattice", "derive_lattice", "tf_shift",
+    "GaborLattice", "derive_lattice",
     "InvalidLatticeError", "NotAFrameError",
     "gaussian_window", "sech_window", "monster_window",
     "ZakFactorization", "BlockOperator", "SpectralSummary",
-    "dzt", "zak_extend", "factorize", "unfactorize",
+    "dzt", "factorize", "unfactorize",
     "block_gram", "apply_block_operator", "frame_bounds",
     "eig_tight", "svd_tight", "inv_dual",
     "SynthesisMatrix", "synthesis_matrix", "reference_tight", "reference_dual",
-    "normalized_singular_values", "scalar_iteration",
-    "IterationConfig", "IterationTrace", "run",
+    "IterationConfig", "IterationTrace", "run", "scalar_iteration",
     "tight_taylor_coeffs", "dual_taylor_coeffs", "optimal_scaling_constant",
     "upper_frame_bound_estimate",
     "adjoint_correlations", "dual_lattice_norm_tight", "dual_lattice_norm_dual",
     "wexler_raz_residual", "kantorovich_bound_tight", "kantorovich_bound_dual",
-    "z_bounds", "convergence_order",
+    "z_bounds",
     "Classification", "pointwise_tight", "pointwise_dual", "two_point_norm_scaled",
 ]

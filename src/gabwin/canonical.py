@@ -114,11 +114,11 @@ def _lq_split(blocks: np.ndarray):
     rows, in closed form: at p = 1 R is the row norm by hypot, at p = 2 the
     Gram-Schmidt factors of svd_tight, with R and Q in planar storage (see
     zak), each block entry a contiguous (c, d) plane after the leading axes.
-    A row norm that overflows is inf.  Returns (blocks, None) at p > 2,
-    where numpy's batched QR would cost more than the split saves, and at
-    p = q, where there is nothing to split."""
-    p, q = blocks.shape[-2:]
-    if p > 2 or p == q:
+    A row norm that overflows is inf; at p = q = 1 Q is a phase.  Returns
+    (blocks, None) at p > 2, where numpy's batched QR would cost more than
+    the split saves."""
+    p = blocks.shape[-2]
+    if p > 2:
         return blocks, None
     with np.errstate(over="ignore"):
         if p == 1:

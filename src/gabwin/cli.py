@@ -94,12 +94,12 @@ def make_window(spec: str, lattice: GaborLattice) -> np.ndarray:
     if kind == "monster":
         return monster_window(lattice, float(arg or 6.0))
     if kind == "file":
-        data = np.fromfile(arg, dtype="<c8")
-        if len(data) != lattice.L:
-            raise ValueError(
-                f"window file holds {len(data)} samples, lattice needs {lattice.L}"
-            )
-        return data.astype(complex)
+        with open(arg, "rb") as fh:
+            raw = fh.read()
+        if len(raw) != 8 * lattice.L:  # L complex64 samples, nothing else
+            raise ValueError(f"window file holds {len(raw)} bytes, lattice needs "
+                             f"{8 * lattice.L} ({lattice.L} complex64 samples)")
+        return np.frombuffer(raw, dtype="<c8").astype(complex)
     raise ValueError(f"unknown window spec {spec!r}")
 
 

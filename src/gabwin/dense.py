@@ -6,7 +6,8 @@ G_r (x) phi_r^T, with the b x N fiber G_r[j, n] = g(r + j M - n a) and
 |phi_r|^2 = M (Walnut's representation), so S is block diagonal with blocks
 M G_r G_r* on the samples r + j M.  One batched SVD G_r = U Sigma V* gives
 the ground-truth windows there, U V* e_0 / sqrt(M) (tight) and
-U Sigma^-1 V* e_0 / M (dual), and sigma(O) = sqrt(M) sigma(G_r).  The fibers
+U Sigma^-1 V* e_0 / M (dual), and sigma(O) = sqrt(M) sigma(G_r), the
+singular values that the tests' oracles take from _fibers.  The fibers
 use no Zak transform and this module imports nothing of the package but its
 lattice and errors, so they stay an independent oracle for the block
 methods; they hold L N entries, guarded to L N <= DENSE_SIZE_GUARD^2.
@@ -27,7 +28,6 @@ __all__ = [
     "synthesis_matrix",
     "reference_tight",
     "reference_dual",
-    "normalized_singular_values",
 ]
 
 DENSE_SIZE_GUARD = 2048
@@ -103,14 +103,3 @@ def reference_dual(g: np.ndarray, lattice: GaborLattice) -> np.ndarray:
     U, s, Vh = _fiber_svd(g, lattice)
     return _from_fibers(U @ (Vh[..., :1] / s[..., None])) / lattice.M
 
-
-def normalized_singular_values(g: np.ndarray, lattice: GaborLattice) -> np.ndarray:
-    """Singular values of the unit-column synthesis matrix, sigma / sqrt(MN),
-    in descending order: those of the fibers over sqrt(N).
-
-    In these units the norm-scaled scalar recursion tracks the full block
-    iteration step for step.  The SVD with U and V came within 9 eps sigma_max
-    of 34-digit values on random lattices, the values-only one within 31.
-    """
-    s = np.linalg.svd(_fibers(g, lattice), full_matrices=False)[1]
-    return np.sort(s.reshape(-1))[::-1] / np.sqrt(lattice.N)

@@ -1,6 +1,6 @@
 """Error measures: adjoint-lattice correlations, dual lattice norms,
-Wexler-Raz residual, Kantorovich-type window bounds, Z-operator bounds,
-and convergence-order estimation.  Every rule that turns Zak blocks into a
+Wexler-Raz residual, Kantorovich-type window bounds and Z-operator
+bounds.  Every rule that turns Zak blocks into a
 reported number lives here: the spectrum by target, the correlations of
 unit-norm windows and the canonical report.
 
@@ -29,7 +29,6 @@ __all__ = [
     "kantorovich_bound_tight",
     "kantorovich_bound_dual",
     "z_bounds",
-    "convergence_order",
 ]
 
 
@@ -186,24 +185,3 @@ def z_bounds(fac_g: ZakFactorization, fac_gamma: ZakFactorization) -> SpectralSu
         )
     return summary
 
-
-def convergence_order(errors, window=(1e-12, 1e-2)):
-    """Least-squares slope of log e_{k+1} against log e_k.
-
-    Only consecutive pairs with both errors inside ``window`` enter the fit
-    (pre-asymptotic steps; floor values excluded).  Returns None when fewer
-    than 2 pairs remain.
-    """
-    lo, hi = window
-    errors = np.asarray(errors, dtype=float)
-    pts = [
-        (np.log(errors[k]), np.log(errors[k + 1]))
-        for k in range(len(errors) - 1)
-        if lo <= errors[k] <= hi and lo <= errors[k + 1] <= hi
-    ]
-    if len(pts) < 2:
-        return None
-    xs = np.array([x for x, _ in pts])
-    ys = np.array([y for _, y in pts])
-    dx = xs - xs.mean()
-    return float((dx * (ys - ys.mean())).sum() / (dx * dx).sum())

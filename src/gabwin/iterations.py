@@ -21,7 +21,7 @@ takes windows and a config: run() (a batch of one that keeps every
 iterand; one step is a fixed one-step run), _run_stack (a sweep, in
 batches capped by their footprint, each trace keeping its start and last
 iterand) and scalar_iteration (one member of 1 x 1 blocks of singular
-values).  At p <= 2 < q run() and _run_stack split the window blocks once
+values).  At p <= 2 run() and _run_stack split the window blocks once
 as R_0 Q, R_0 p x p and Q with orthonormal rows (canonical._lq_split), and
 iterate R: every iterand is a polynomial in S applied to g, so its blocks
 are R_k Q, which the trace forms when they are read.  A p x p step costs
@@ -343,7 +343,7 @@ class IterationTrace:
     run() fills the fields: ``factors[k]``, what the loop iterated for
     gamma_k (gamma_0 is the prescaled window g); ``rel_steps[k]``,
     ||gamma_{k+1} - gamma_k|| / ||gamma_{k+1}||; ``stop_reason`` (see
-    _iterate); and ``rows``.  At p <= 2 < q ``rows`` is the Q of the
+    _iterate); and ``rows``.  At p <= 2 ``rows`` is the Q of the
     window's blocks R_0 Q (see _lq_split) and ``factors[k]`` is R_k; else
     ``rows`` is None and ``factors[k]`` the blocks of gamma_k.  Everything
     else is computed when first read: ``blocks[k]``, the Zak blocks of
@@ -358,7 +358,9 @@ class IterationTrace:
     signal; ``bounds[k]``, (A_k, B_k) for tight targets and the Z-bounds
     (E_k, F_k) for dual ones; and ``dual_lattice_norms[k]``, that of the
     normalized gamma_k (against the normalized g for dual targets).  The
-    last two share one Gram per iterand.  A sweep's trace (see _run_stack)
+    last two share one Gram per iterand, and with ``wrong_limit`` take
+    their Grams and norms on the factors, as R_j Q (R_k Q)* = R_j R_k* and
+    ||R_k Q|| = ||R_k||: they form no block.  A sweep's trace (see _run_stack)
     always keeps the blocks of its start and last iterand only, and has an
     error for each.
     """
@@ -400,7 +402,8 @@ class IterationTrace:
     def wrong_limit(self) -> bool:
         if self.stop_reason != "converged":
             return self.stop_reason in ("diverging", "non_finite")
-        return bool(_hermitian_eigvals(_gram_blocks(self._block(0), self._block(-1))).min() < 0)
+        F, q = self.factors, self.lattice.q
+        return bool(_hermitian_eigvals(_gram_blocks(F[0], F[-1], q)).min() < 0)
 
     @cached_property
     def final(self) -> np.ndarray:
@@ -413,8 +416,8 @@ class IterationTrace:
     @cached_property
     def _grams(self) -> list:
         """A^{gamma,gamma} (tight) or A^{g,gamma} (dual) of every iterand."""
-        g, tight = self.blocks[0], self.config.target == "tight"
-        return [_gram_blocks(b if tight else g, b) for b in self.blocks]
+        g, tight = self.factors[0], self.config.target == "tight"
+        return [_gram_blocks(F if tight else g, F, self.lattice.q) for F in self.factors]
 
     @cached_property
     def bounds(self) -> list:
@@ -424,10 +427,10 @@ class IterationTrace:
 
     @cached_property
     def dual_lattice_norms(self) -> list:
-        g, tight = self.blocks[0], self.config.target == "tight"
+        g, tight = self.factors[0], self.config.target == "tight"
         return [diagnostics._off_origin_mass(diagnostics._unit_correlations(
-                    b if tight else g, b, self.lattice, A))
-                for b, A in zip(self.blocks, self._grams)]
+                    F if tight else g, F, self.lattice, A))
+                for F, A in zip(self.factors, self._grams)]
 
 
 def _diverging(rel_steps: list) -> bool:

@@ -1,4 +1,4 @@
-"""Lattice parameter arithmetic and time-frequency shifts on C^L.
+"""Lattice parameter arithmetic on C^L.
 
 A Gabor system on C^L is generated by shifting a window g by multiples of
 ``a`` samples in time and ``b`` bins in frequency.  The derived integers
@@ -13,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-
 from .errors import InvalidLatticeError
 
-__all__ = ["GaborLattice", "derive_lattice", "tf_shift"]
+__all__ = ["GaborLattice", "derive_lattice"]
 
 
 @dataclass(frozen=True)
@@ -57,9 +55,3 @@ def derive_lattice(L: int, a: int, b: int) -> GaborLattice:
         )
     return GaborLattice(L=L, a=a, b=b, M=M, N=N, c=c, d=d, p=p, q=q)
 
-
-def tf_shift(g: np.ndarray, j: int, k: int) -> np.ndarray:
-    """Time-frequency shift: (T g)(l) = exp(2 pi i k l / L) g(l - j mod L)."""
-    L = len(g)
-    phase = np.exp(2j * np.pi * k * np.arange(L) / L)
-    return phase * np.roll(g, j)

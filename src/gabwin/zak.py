@@ -45,7 +45,6 @@ __all__ = [
     "BlockOperator",
     "SpectralSummary",
     "dzt",
-    "zak_extend",
     "factorize",
     "unfactorize",
     "block_gram",
@@ -75,20 +74,6 @@ def dzt(h: np.ndarray, K: int) -> np.ndarray:
     x[:, 1:] = rows[:0:-1].T
     np.fft.ifft(x, axis=1, out=x)
     return np.multiply(np.sqrt(K / L) * J, x, out=x)
-
-
-def zak_extend(grid: np.ndarray, r, s) -> np.ndarray:
-    """Evaluate a dzt grid at arbitrary integer (r, s) via quasi-periodicity.
-
-    (Z_K h)(r + k K, s) = exp(2 pi i k s K / L) (Z_K h)(r, s), and the grid
-    is L/K-periodic in s.  Accepts scalars or broadcastable index arrays.
-    """
-    K, J = grid.shape
-    r = np.asarray(r)
-    s = np.asarray(s)
-    wraps = r // K
-    phase = np.exp(2j * np.pi * wraps * s / J)
-    return phase * grid[r % K, s % J]
 
 
 @dataclass(frozen=True)

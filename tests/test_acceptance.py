@@ -18,6 +18,8 @@ from gabwin.iterations import (IterationConfig, dual_taylor_coeffs_fractions,
                                tight_taylor_coeffs_fractions)
 from gabwin.scalarlab import Classification
 
+from oracles import convergence_order, normalized_singular_values
+
 
 def report(num: int, ok: bool, detail: str):
     print(f"\ncriterion {num:2d}: {'PASS' if ok else 'FAIL'} - {detail}")
@@ -65,12 +67,12 @@ def test_criterion_03_convergence_orders(lat432, gauss432, ref_tight432):
     for name in ("I", "II", "IV"):
         cfg = IterationConfig.from_algorithm(name, stop_mode="fixed", max_steps=12)
         tr = gw.run(gauss432, lat432, cfg)
-        orders[name] = gw.convergence_order(tr.errors, window=(1e-12, 1e-1))
+        orders[name] = convergence_order(tr.errors, window=(1e-12, 1e-1))
         if name != "IV":
             reached[name] = min(norm_err(x, ref_tight432) for x in tr.iterands)
     # cubic orders need more resolution than double allows: extended-precision
     # singular-value recursions of the same frame (block/scalar equivalence)
-    sig = gw.normalized_singular_values(gauss432, lat432).astype(np.longdouble)
+    sig = normalized_singular_values(gauss432, lat432).astype(np.longdouble)
     for name in ("III", "V"):
         cfg = IterationConfig.from_algorithm(name, max_steps=9)
         strace = gw.scalar_iteration(sig, cfg)
@@ -78,7 +80,7 @@ def test_criterion_03_convergence_orders(lat432, gauss432, ref_tight432):
         ref = strace[ref_idx] / np.sqrt((strace[ref_idx] ** 2).sum())
         errs = [float(np.sqrt((((t / np.sqrt((t * t).sum())) - ref) ** 2).sum()))
                 for t in strace]
-        orders[name] = gw.convergence_order(errs, window=(1e-16, 0.5))
+        orders[name] = convergence_order(errs, window=(1e-16, 0.5))
     tr3 = gw.run(gauss432, lat432, IterationConfig.from_algorithm(
         "III", stop_mode="fixed", max_steps=12))
     reached["III"] = min(norm_err(x, ref_tight432) for x in tr3.iterands)
@@ -121,13 +123,13 @@ def test_criterion_04_after_convergence(lat432, gauss432):
 
 def test_criterion_05_scalar_oracle(lat432, gauss432):
     worst = 0.0
-    sig = gw.normalized_singular_values(gauss432, lat432)
+    sig = normalized_singular_values(gauss432, lat432)
     for name in ("I", "II", "III", "IV", "V"):
         cfg = IterationConfig.from_algorithm(name, stop_mode="fixed", max_steps=6)
         tr = gw.run(gauss432, lat432, cfg)
         strace = gw.scalar_iteration(sig, cfg)
         for k in range(7):
-            sk = gw.normalized_singular_values(tr.iterands[k], lat432)
+            sk = normalized_singular_values(tr.iterands[k], lat432)
             dev = np.abs(np.sort(strace[k]) - np.sort(sk)).max() / sk.max()
             worst = max(worst, dev)
     report(5, worst < 1e-9,

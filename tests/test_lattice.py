@@ -4,7 +4,7 @@ import pytest
 import gabwin as gw
 from gabwin.errors import InvalidLatticeError
 
-from oracles import random_valid_lattice, shift_mod
+from oracles import random_valid_lattice
 
 
 @pytest.mark.parametrize(
@@ -44,29 +44,3 @@ def test_lattice_invariants_random(rng):
         assert lt.c * lt.d * lt.p * lt.q == L
         assert lt.p <= lt.q
 
-
-def test_tf_shift_identity(rng):
-    g = rng.standard_normal(48) + 1j * rng.standard_normal(48)
-    assert np.allclose(gw.tf_shift(g, 0, 0), g)
-
-
-def test_tf_shift_unitary(rng):
-    g = rng.standard_normal(60) + 1j * rng.standard_normal(60)
-    for _ in range(10):
-        j, k = int(rng.integers(-120, 120)), int(rng.integers(-120, 120))
-        assert np.linalg.norm(gw.tf_shift(g, j, k)) == pytest.approx(
-            np.linalg.norm(g), rel=1e-14)
-
-
-def test_tf_shift_matches_literal(rng):
-    g = rng.standard_normal(36) + 1j * rng.standard_normal(36)
-    for j, k in [(0, 5), (7, 0), (13, 29), (-4, 3)]:
-        assert np.allclose(gw.tf_shift(g, j, k), shift_mod(g, j, k))
-
-
-def test_tf_shift_commutation_phase(rng):
-    L = 72
-    g = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-    for j, k in [(5, 11), (18, 42), (1, 71)]:
-        back = gw.tf_shift(gw.tf_shift(g, j, k), -j, -k)
-        assert np.allclose(back, np.exp(2j * np.pi * j * k / L) * g, atol=1e-13)
